@@ -20,15 +20,8 @@ impl ParamId {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Var(usize);
 
-impl Var {
-    /// Tape position of this node (used by the compiled-tape lowering).
-    pub(crate) fn index(self) -> usize {
-        self.0
-    }
-}
-
 #[derive(Debug, Clone)]
-pub(crate) enum Op {
+enum Op {
     /// Constant leaf: gradients stop here.
     Leaf,
     /// Parameter leaf: gradients are collected per [`ParamId`].
@@ -50,10 +43,8 @@ pub(crate) enum Op {
         tanh: bool,
     },
     Scale(Var, f64),
-    /// Adds the stored constant to every entry. The scalar is not needed by
-    /// the backward pass (the gradient is a pass-through copy) but is kept
-    /// on the tape so the compiled-tape lowering can replay the forward op.
-    AddScalar(Var, f64),
+    /// Adds a constant to every entry; the gradient is a pass-through copy.
+    AddScalar(Var),
     Neg(Var),
     Tanh(Var),
     /// Fused `s · tanh(x)` — the coupling-layer log-scale clamp.
@@ -400,22 +391,6 @@ impl Graph {
         self.nodes[v.0].requires_grad
     }
 
-    /// The op recorded at tape position `i` (compiled-tape lowering).
-    pub(crate) fn node_op(&self, i: usize) -> &Op {
-        &self.nodes[i].op
-    }
-
-    /// The forward value at tape position `i` (compiled-tape lowering).
-    pub(crate) fn node_value(&self, i: usize) -> &Tensor {
-        &self.nodes[i].value
-    }
-
-    /// Whether the node at tape position `i` requires gradients
-    /// (compiled-tape lowering).
-    pub(crate) fn node_requires_grad(&self, i: usize) -> bool {
-        self.nodes[i].requires_grad
-    }
-
     /// The forward value of `v`.
     pub fn value(&self, v: Var) -> &Tensor {
         &self.nodes[v.0].value
@@ -653,7 +628,7 @@ impl Graph {
         let Graph { nodes, pool, .. } = self;
         let out = pooled_map(pool, &nodes[a.0].value, |x| x + s);
         let rg = self.rg(a);
-        self.push(out, Op::AddScalar(a, s), rg)
+        self.push(out, Op::AddScalar(a), rg)
     }
 
     /// Elementwise negation.
@@ -1043,7 +1018,7 @@ impl Graph {
                     self.accumulate(a, d);
                 }
             }
-            Op::AddScalar(a, _) => {
+            Op::AddScalar(a) => {
                 if self.rg(a) {
                     let d = {
                         let Graph { pool, .. } = self;
@@ -1316,19 +1291,18 @@ impl Graph {
 
 /// Rows per external-evaluation chunk — fixed so chunk boundaries never
 /// depend on the thread count.
-pub(crate) const EXTERNAL_ROW_CHUNK: usize = 16;
+const EXTERNAL_ROW_CHUNK: usize = 16;
 
-/// Chunk-parallel row-wise oracle evaluation shared by
-/// [`Graph::external_rowwise_par`] and the compiled-tape replay path:
-/// rows are evaluated in fixed [`EXTERNAL_ROW_CHUNK`]-sized chunks across
-/// `pool` and written back in row order, so results are bitwise identical
-/// at any thread count and between both call sites.
+/// Chunk-parallel row-wise oracle evaluation behind
+/// [`Graph::external_rowwise_par`]: rows are evaluated in fixed
+/// [`EXTERNAL_ROW_CHUNK`]-sized chunks across `pool` and written back in
+/// row order, so results are bitwise identical at any thread count.
 ///
 /// # Panics
 ///
 /// Panics if `f` returns a gradient whose length differs from `input`'s
 /// column count.
-pub(crate) fn eval_external_rows(
+fn eval_external_rows(
     input: &Tensor,
     pool: &nofis_parallel::ThreadPool,
     f: &(impl Fn(&[f64]) -> (f64, Vec<f64>) + Sync),
@@ -1356,7 +1330,7 @@ pub(crate) fn eval_external_rows(
 }
 
 /// Numerically stable logistic sigmoid.
-pub(crate) fn sigmoid(x: f64) -> f64 {
+fn sigmoid(x: f64) -> f64 {
     if x >= 0.0 {
         1.0 / (1.0 + (-x).exp())
     } else {
@@ -1366,7 +1340,7 @@ pub(crate) fn sigmoid(x: f64) -> f64 {
 }
 
 /// Numerically stable softplus `ln(1 + e^x)`.
-pub(crate) fn softplus(x: f64) -> f64 {
+fn softplus(x: f64) -> f64 {
     x.max(0.0) + (-x.abs()).exp().ln_1p()
 }
 

@@ -41,13 +41,11 @@
 #![deny(missing_docs)]
 
 pub mod check;
-mod compile;
 mod graph;
 mod pool;
 mod store;
 mod tensor;
 
-pub use compile::{CompiledStep, GradSource};
 pub use graph::{Graph, GraphStats, ParamId, Var};
 pub use pool::{BufferPool, PoolStats};
 pub use store::ParamStore;

@@ -1,15 +1,13 @@
 //! Steady-state NOFIS training-step throughput across the tape memory
 //! model matrix: pooled/unpooled tape × frozen-gradient pruning on/off ×
-//! 1/4 worker threads, plus the trace-once/replay compiled-tape engine,
-//! with buffer-pool miss counters doubling as an allocations-per-step
-//! meter.
+//! op fusion on/off × 1/4 worker threads, with buffer-pool miss counters
+//! doubling as an allocations-per-step meter.
 //!
 //! ```text
 //! bench_train_step [--smoke]
 //! bench_train_step --assert-telemetry-overhead [--smoke]
 //! bench_train_step --assert-checkpoint-overhead [--smoke]
-//! bench_train_step --assert-compile-overhead [--smoke]
-//! bench_train_step --assert-compiled-speedup [--smoke]
+//! bench_train_step --assert-metrics-overhead [--smoke]
 //! ```
 //!
 //! `--assert-telemetry-overhead` runs an A/B pair in-process: the same
@@ -18,13 +16,9 @@
 //! lanes — the site then costs one relaxed atomic load). It asserts the
 //! disabled instrumentation adds under 1% to the step time.
 //!
-//! `--assert-compile-overhead` times the one-off `CompiledStep::compile`
-//! lowering against the per-step savings of replaying instead of
-//! re-tracing, and asserts the compile cost amortizes in under 50 steps
-//! (plus that steady-state replays are allocation-free).
-//! `--assert-compiled-speedup` is the CI guard on the tentpole: the
-//! compiled default-config (`stage3_default`) step must be at least 1.5x
-//! faster than the interpreted pooled+pruned+fused path.
+//! `--assert-checkpoint-overhead` and `--assert-metrics-overhead` bound
+//! the disabled checkpoint site and the metrics aggregation sink the same
+//! way.
 //!
 //! Because the process-wide thread pool is sized exactly once (see
 //! `nofis_parallel::global`), the thread axis is driven by re-executing
@@ -36,10 +30,10 @@
 //! Speedups of the hot paths over the seed path (fresh unfused tape per
 //! step, no pruning, clone-per-step Adam input) are *reported*; the
 //! bitwise contracts behind them are asserted in
-//! `tests/frozen_prune_equivalence.rs`, `tests/golden_flows.rs`,
-//! `tests/alloc_regression.rs`, and `tests/compiled_equivalence.rs`.
+//! `tests/frozen_prune_equivalence.rs`, `tests/golden_flows.rs` and
+//! `tests/alloc_regression.rs`.
 
-use nofis_autograd::{CompiledStep, Graph, ParamStore, PoolStats, Var};
+use nofis_autograd::{Graph, ParamStore, PoolStats};
 use nofis_flows::RealNvp;
 use nofis_nn::Adam;
 use rand::rngs::StdRng;
@@ -56,18 +50,11 @@ struct CellRecord {
     pooled: bool,
     pruned: bool,
     fused: bool,
-    compiled: bool,
-    /// Ran with `NOFIS_REFERENCE_MATH=1`: libm tanh + scalar reference
-    /// matmul kernels — the numeric stack as it was before the compiled
-    /// engine landed (the honest A/B baseline for the tentpole metric).
-    reference: bool,
     threads: usize,
     ns_per_step: f64,
     steps_timed: u64,
     /// Pool misses per step over the timed window — the heap allocations
-    /// the tape itself performed. 0.0 means fully recycled. For the
-    /// compiled lane this meters the replay engine's backward scratch
-    /// pool (its value/grad buffers are preplanned and never reallocated).
+    /// the tape itself performed. 0.0 means fully recycled.
     pool_allocs_per_step: f64,
     pool_hits_per_step: f64,
     final_loss: f64,
@@ -83,18 +70,6 @@ struct BenchTrainStep {
     /// ns_per_step(seed) / ns_per_step(pooled+pruned+fused), per config
     /// and thread count.
     speedup_full_vs_seed: Vec<SpeedupRecord>,
-    /// ns_per_step(pooled+pruned+fused) / ns_per_step(compiled), per
-    /// config and thread count, **same math in both lanes** — what tape
-    /// elimination alone buys (honesty row: close to 1.0x on matmul-bound
-    /// configs).
-    speedup_compiled_vs_fused: Vec<CompiledSpeedupRecord>,
-    /// ns_per_step(fused_pr3) / ns_per_step(compiled), per config and
-    /// thread count — the tentpole's acceptance metric. `fused_pr3` runs
-    /// the interpreted fused path under `NOFIS_REFERENCE_MATH=1` (libm
-    /// tanh, scalar kernels, transpose-composed backward): the hot path
-    /// exactly as the previous PR shipped it. Here `fused_ns_per_step`
-    /// is that reconstructed lane's time.
-    speedup_compiled_vs_pr3_fused: Vec<CompiledSpeedupRecord>,
 }
 
 #[derive(Serialize)]
@@ -103,15 +78,6 @@ struct SpeedupRecord {
     threads: usize,
     seed_ns_per_step: f64,
     full_ns_per_step: f64,
-    speedup: f64,
-}
-
-#[derive(Serialize)]
-struct CompiledSpeedupRecord {
-    config: &'static str,
-    threads: usize,
-    fused_ns_per_step: f64,
-    compiled_ns_per_step: f64,
     speedup: f64,
 }
 
@@ -153,27 +119,19 @@ const CONFIGS: [StepConfig; 2] = [
     },
 ];
 
-/// The full (pooled, pruned, fused, compiled, reference) matrix. `seed`
-/// is the exact pre-optimization program (fresh tape per step, composed
-/// ops, grads cloned out for Adam); `pooled_pruned_fused` is the
-/// interpreted hot path on the current math stack (fast tanh + blocked
-/// SIMD kernels, shared with `compiled`, so that pair isolates what tape
-/// elimination alone buys); `compiled` is the trace-once/replay engine;
-/// `fused_pr3` is the interpreted hot path under
-/// `NOFIS_REFERENCE_MATH=1` — libm tanh + scalar kernels, i.e. the hot
-/// path exactly as the previous PR shipped it, reconstructed as the
-/// baseline for the compiled engine's acceptance metric.
-const VARIANTS: [(&str, bool, bool, bool, bool, bool); 10] = [
-    ("seed", false, false, false, false, false),
-    ("seed_fused", false, false, true, false, false),
-    ("seed_pruned", false, true, false, false, false),
-    ("seed_pruned_fused", false, true, true, false, false),
-    ("pooled", true, false, false, false, false),
-    ("pooled_fused", true, false, true, false, false),
-    ("pooled_pruned", true, true, false, false, false),
-    ("pooled_pruned_fused", true, true, true, false, false),
-    ("fused_pr3", true, true, true, false, true),
-    ("compiled", true, true, true, true, false),
+/// The full (pooled, pruned, fused) matrix. `seed` is the exact
+/// pre-optimization program (fresh tape per step, composed ops, grads
+/// cloned out for Adam); `pooled_pruned_fused` is the training loop's
+/// step.
+const VARIANTS: [(&str, bool, bool, bool); 8] = [
+    ("seed", false, false, false),
+    ("seed_fused", false, false, true),
+    ("seed_pruned", false, true, false),
+    ("seed_pruned_fused", false, true, true),
+    ("pooled", true, false, false),
+    ("pooled_fused", true, false, true),
+    ("pooled_pruned", true, true, false),
+    ("pooled_pruned_fused", true, true, true),
 ];
 
 fn lcg_fill(buf: &mut [f64], seed: u64) {
@@ -204,36 +162,11 @@ fn build(cfg: StepConfig) -> (ParamStore, RealNvp, Adam) {
 }
 
 /// The benchmark's stand-in oracle: a linear limit-state with an exact
-/// gradient, shared verbatim between the interpreted trace and the
-/// compiled replay so both lanes run the same math.
+/// gradient.
 fn oracle(row: &[f64]) -> (f64, Vec<f64>) {
     let mut grad = vec![0.0; row.len()];
     grad[0] = -1.0;
     (1.0 - row[0], grad)
-}
-
-/// Builds the NOFIS-shaped loss tape on `g` — tempered oracle term, base
-/// log-density term, log-det term — and returns the batch leaf and the
-/// scalar loss (no backward).
-fn trace_loss(
-    g: &mut Graph,
-    store: &ParamStore,
-    flow: &RealNvp,
-    cfg: StepConfig,
-    seed: u64,
-) -> (Var, Var) {
-    let x = g.constant_with(cfg.batch, cfg.dim, |buf| lcg_fill(buf, seed));
-    let (z, logdet) = flow.forward_graph(store, g, x, cfg.layers);
-    let gvals = g.external_rowwise(z, oracle);
-    let tempered = g.min_scalar(gvals, 0.0);
-    let sq = g.square(z);
-    let ssq = g.sum_cols(sq);
-    let half = g.scale(ssq, -0.5);
-    let a = g.add(logdet, tempered);
-    let per_sample = g.add(a, half);
-    let mean = g.mean_all(per_sample);
-    let loss = g.neg(mean);
-    (x, loss)
 }
 
 /// One NOFIS-shaped training step on an already prepared graph: tempered
@@ -247,7 +180,17 @@ fn run_step(
     pooled: bool,
     seed: u64,
 ) -> f64 {
-    let (_x, loss) = trace_loss(g, store, flow, cfg, seed);
+    let x = g.constant_with(cfg.batch, cfg.dim, |buf| lcg_fill(buf, seed));
+    let (z, logdet) = flow.forward_graph(store, g, x, cfg.layers);
+    let gvals = g.external_rowwise(z, oracle);
+    let tempered = g.min_scalar(gvals, 0.0);
+    let sq = g.square(z);
+    let ssq = g.sum_cols(sq);
+    let half = g.scale(ssq, -0.5);
+    let a = g.add(logdet, tempered);
+    let per_sample = g.add(a, half);
+    let mean = g.mean_all(per_sample);
+    let loss = g.neg(mean);
     g.backward(loss);
     if pooled {
         opt.step_fused(store, g);
@@ -307,7 +250,6 @@ fn measure(smoke: bool, mut step: impl FnMut(u64) -> (f64, PoolStats)) -> Timing
     for _ in 0..2 {
         best = best.min(window(timed, &mut next_seed));
     }
-    drop(window);
     let total_steps = next_seed - warmup;
     Timing {
         ns_per_step: best.as_nanos() as f64 / timed as f64,
@@ -338,23 +280,11 @@ fn telemetry_step_site(stage: usize, epoch: usize, n: usize, loss: f64, grad_nor
     }
 }
 
-/// Checks that disabled telemetry adds under 1% to the steady-state step.
-///
-/// A whole-step A/B comparison cannot resolve this: the true cost is a
-/// relaxed atomic load (~1 ns) against a ~10⁵ ns step, far below a shared
-/// host's run-to-run timing noise (observed at ±3–5%). Instead each factor
-/// is measured where it is measurable: the step time from timed step
-/// windows, the disabled-site cost from a tight loop over millions of
-/// invocations of the *exact* replicated site — then the ratio is
-/// asserted. A generous `SITES_PER_STEP` multiplier covers every disabled
-/// `enabled()` check a production step can reach (the `train.step` site
-/// plus budget/epoch/stage sites amortized over the minibatch loop).
-fn assert_telemetry_overhead(smoke: bool) {
-    assert!(
-        !nofis_telemetry::enabled(nofis_telemetry::Level::Error),
-        "telemetry must be disabled for the overhead check"
-    );
-    const SITES_PER_STEP: f64 = 16.0;
+/// Steady-state ns per pooled+pruned+fused training step on the
+/// allocation-bound `stage3_small` shape — the cheapest step, so the worst
+/// case for *relative* site overhead: adaptive window length, minimum of
+/// three windows.
+fn steady_step_ns(smoke: bool) -> f64 {
     let cfg = CONFIGS[0];
     let (mut store, flow, mut opt) = build(cfg);
     let mut g = Graph::new();
@@ -370,9 +300,6 @@ fn assert_telemetry_overhead(smoke: bool) {
         next_seed += 1;
     }
 
-    // Step time: adaptive window length, minimum of three windows (the
-    // allocation-bound `stage3_small` shape — the cheapest step, so the
-    // worst case for *relative* site overhead).
     let min_ms = if smoke { 30 } else { 150 };
     let mut steps = 16u64;
     let step_window = loop {
@@ -396,7 +323,28 @@ fn assert_telemetry_overhead(smoke: bool) {
         }
         best_step = best_step.min(t.elapsed());
     }
-    let step_ns = best_step.as_nanos() as f64 / steps as f64;
+    best_step.as_nanos() as f64 / steps as f64
+}
+
+/// Checks that disabled telemetry adds under 1% to the steady-state step.
+///
+/// A whole-step A/B comparison cannot resolve this: the true cost is a
+/// relaxed atomic load (~1 ns) against a ~10⁵ ns step, far below a shared
+/// host's run-to-run timing noise (observed at ±3–5%). Instead each factor
+/// is measured where it is measurable: the step time from timed step
+/// windows, the disabled-site cost from a tight loop over millions of
+/// invocations of the *exact* replicated site — then the ratio is
+/// asserted. A generous `SITES_PER_STEP` multiplier covers every disabled
+/// `enabled()` check a production step can reach (the `train.step` site
+/// plus budget/epoch/stage sites amortized over the minibatch loop).
+fn assert_telemetry_overhead(smoke: bool) {
+    assert!(
+        !nofis_telemetry::enabled(nofis_telemetry::Level::Error),
+        "telemetry must be disabled for the overhead check"
+    );
+    const SITES_PER_STEP: f64 = 16.0;
+    let cfg = CONFIGS[0];
+    let step_ns = steady_step_ns(smoke);
 
     // Disabled-site cost: tight loop, black_box keeps the inputs and the
     // call alive. Minimum of three windows.
@@ -442,7 +390,7 @@ fn assert_telemetry_overhead(smoke: bool) {
 #[inline(never)]
 fn checkpoint_step_site(every_steps: &mut Option<u64>, global_step: u64) -> bool {
     if let Some(every) = every_steps.as_mut() {
-        global_step % *every == 0
+        global_step.is_multiple_of(*every)
     } else {
         false
     }
@@ -456,45 +404,7 @@ fn checkpoint_step_site(every_steps: &mut Option<u64>, global_step: u64) -> bool
 /// — the production loop runs ONE due-check per optimizer step.
 fn assert_checkpoint_overhead(smoke: bool) {
     const SITES_PER_STEP: f64 = 4.0;
-    let cfg = CONFIGS[0];
-    let (mut store, flow, mut opt) = build(cfg);
-    let mut g = Graph::new();
-    g.set_fusion(true);
-    g.set_pruning(true);
-    let mut next_seed = 0u64;
-    let mut step = |g: &mut Graph, seed: u64| {
-        g.reset();
-        run_step(g, &mut store, &flow, &mut opt, cfg, true, seed)
-    };
-    for _ in 0..16 {
-        assert!(step(&mut g, next_seed).is_finite());
-        next_seed += 1;
-    }
-
-    let min_ms = if smoke { 30 } else { 150 };
-    let mut steps = 16u64;
-    let step_window = loop {
-        let t = Instant::now();
-        for _ in 0..steps {
-            step(&mut g, next_seed);
-            next_seed += 1;
-        }
-        let elapsed = t.elapsed();
-        if elapsed.as_millis() >= min_ms || steps >= 1 << 20 {
-            break elapsed;
-        }
-        steps *= 2;
-    };
-    let mut best_step = step_window;
-    for _ in 0..2 {
-        let t = Instant::now();
-        for _ in 0..steps {
-            step(&mut g, next_seed);
-            next_seed += 1;
-        }
-        best_step = best_step.min(t.elapsed());
-    }
-    let step_ns = best_step.as_nanos() as f64 / steps as f64;
+    let step_ns = steady_step_ns(smoke);
 
     let site_iters: u64 = if smoke { 2_000_000 } else { 10_000_000 };
     let mut best_site = std::time::Duration::MAX;
@@ -549,45 +459,7 @@ fn metrics_step_site(agg: &nofis_metrics::Aggregator, ev: &nofis_telemetry::Even
 fn assert_metrics_overhead(smoke: bool) {
     use nofis_telemetry::{Event, Kind, Level, Value};
     const EVENTS_PER_STEP: f64 = 8.0;
-    let cfg = CONFIGS[0];
-    let (mut store, flow, mut opt) = build(cfg);
-    let mut g = Graph::new();
-    g.set_fusion(true);
-    g.set_pruning(true);
-    let mut next_seed = 0u64;
-    let mut step = |g: &mut Graph, seed: u64| {
-        g.reset();
-        run_step(g, &mut store, &flow, &mut opt, cfg, true, seed)
-    };
-    for _ in 0..16 {
-        assert!(step(&mut g, next_seed).is_finite());
-        next_seed += 1;
-    }
-
-    let min_ms = if smoke { 30 } else { 150 };
-    let mut steps = 16u64;
-    let step_window = loop {
-        let t = Instant::now();
-        for _ in 0..steps {
-            step(&mut g, next_seed);
-            next_seed += 1;
-        }
-        let elapsed = t.elapsed();
-        if elapsed.as_millis() >= min_ms || steps >= 1 << 20 {
-            break elapsed;
-        }
-        steps *= 2;
-    };
-    let mut best_step = step_window;
-    for _ in 0..2 {
-        let t = Instant::now();
-        for _ in 0..steps {
-            step(&mut g, next_seed);
-            next_seed += 1;
-        }
-        best_step = best_step.min(t.elapsed());
-    }
-    let step_ns = best_step.as_nanos() as f64 / steps as f64;
+    let step_ns = steady_step_ns(smoke);
 
     // Per-event fold cost over the hot names a training step emits: the
     // step event itself, a budget gauge, and two cache counters.
@@ -658,129 +530,14 @@ fn assert_metrics_overhead(smoke: bool) {
     println!("OK: metrics aggregation adds <1% to bench_train_step");
 }
 
-/// Checks the one-off trace+compile cost amortizes in under 50 steps on
-/// the default config — the recompilation-trigger budget that makes
-/// `compile_tape` safe to leave on by default (stage shapes live for
-/// hundreds of steps; tail minibatches retrace interpreted).
-///
-/// The *extra* work the compiling step performs, on top of the
-/// interpreted trace + backward it runs anyway (`nofis_core`'s train loop
-/// compiles right after a normal interpreted step), is the
-/// `CompiledStep::compile` lowering itself — so that is what is timed,
-/// against the per-step savings of replaying instead of re-tracing. Also
-/// asserts steady-state replays are allocation-free (the preplanned
-/// buffer contract).
-fn assert_compile_overhead(smoke: bool) {
-    let cfg = CONFIGS[1]; // stage3_default: the deepest tape, worst-case compile cost
-    let (mut store, flow, mut opt) = build(cfg);
-
-    let mut g = Graph::new();
-    g.set_fusion(true);
-    g.set_pruning(true);
-    let interp = measure(smoke, |s| {
-        g.reset();
-        let loss = run_step(&mut g, &mut store, &flow, &mut opt, cfg, true, s);
-        (loss, g.pool_stats())
-    });
-
-    g.reset();
-    let (x, loss) = trace_loss(&mut g, &store, &flow, cfg, 1 << 41);
-    g.backward(loss);
-    let reps = if smoke { 3 } else { 10 };
-    let mut best_compile = std::time::Duration::MAX;
-    let mut cs = CompiledStep::compile(&g, loss, Some(x), &store);
-    for _ in 0..reps {
-        let t = Instant::now();
-        let fresh = CompiledStep::compile(&g, loss, Some(x), &store);
-        best_compile = best_compile.min(t.elapsed());
-        cs = fresh;
-    }
-    let compile_ns = best_compile.as_nanos() as f64;
-    drop(g);
-
-    let replay = measure(smoke, |s| {
-        cs.replay_forward(
-            &store,
-            |buf| lcg_fill(buf, s),
-            nofis_parallel::global(),
-            oracle,
-        );
-        cs.backward();
-        opt.step_fused(&mut store, &cs);
-        (cs.value(loss).item(), cs.pool_stats())
-    });
-    assert_eq!(
-        replay.allocs_per_step, 0.0,
-        "steady-state compiled replay must be allocation-free"
-    );
-
-    let savings = interp.ns_per_step - replay.ns_per_step;
-    assert!(
-        savings > 0.0,
-        "replay ({:.0} ns/step) is not faster than the interpreted step ({:.0} ns/step)",
-        replay.ns_per_step,
-        interp.ns_per_step
-    );
-    let amortize_steps = compile_ns / savings;
-    println!(
-        "compile cost {compile_ns:.0} ns; replay saves {savings:.0} ns/step \
-         over interpreted ({:.0} vs {:.0}) -> amortized in {amortize_steps:.1} steps",
-        interp.ns_per_step, replay.ns_per_step
-    );
-    assert!(
-        amortize_steps < 50.0,
-        "trace+compile takes {amortize_steps:.1} steps to amortize (>= 50)"
-    );
-    println!("OK: trace+compile amortizes in under 50 steps (and replays are allocation-free)");
-}
-
-/// The CI guard on the tentpole's acceptance criterion: the compiled
-/// `stage3_default` step must be >= 1.5x faster than the interpreted
-/// PR 3 fused path, reconstructed as the `fused_pr3` reference lane
-/// (libm tanh + scalar kernels under `NOFIS_REFERENCE_MATH=1`).
-///
-/// Both lanes run as subprocess workers pinned to one thread — the
-/// reference-math switch is read once per process, so the A/B *must* be
-/// two processes — on the same host back to back, so machine noise
-/// largely cancels and the ratio is what CI asserts on.
-fn assert_compiled_speedup(smoke: bool) {
-    let cfg = CONFIGS[1];
-    assert_eq!(cfg.name, "stage3_default");
-
-    let pr3 = spawn_worker("fused_pr3", cfg.name, 1, smoke);
-    let compiled = spawn_worker("compiled", cfg.name, 1, smoke);
-
-    let speedup = pr3.ns_per_step / compiled.ns_per_step;
-    println!(
-        "compiled replay vs PR 3 fused path [stage3_default @ 1 thread]: \
-         {:.0} vs {:.0} ns/step = {speedup:.2}x",
-        compiled.ns_per_step, pr3.ns_per_step
-    );
-    assert_eq!(
-        compiled.pool_allocs_per_step, 0.0,
-        "compiled lane must run at zero allocations per step"
-    );
-    assert!(
-        speedup >= 1.5,
-        "compiled default-config step is only {speedup:.2}x the PR 3 fused path (< 1.5x)"
-    );
-    println!("OK: compiled default-config step is >= 1.5x the PR 3 fused path");
-}
-
 /// Times one (config, variant) cell in-process and prints its record. The
 /// global thread pool must already be pinned (via `NOFIS_THREADS`) by the
 /// parent.
 fn worker(variant: &str, config: &str, smoke: bool) {
-    let (_, pooled, pruned, fused, compiled, reference) = *VARIANTS
+    let (_, pooled, pruned, fused) = *VARIANTS
         .iter()
         .find(|(name, ..)| *name == variant)
         .unwrap_or_else(|| panic!("unknown variant {variant}"));
-    assert_eq!(
-        nofis_parallel::math::reference_math(),
-        reference,
-        "worker {variant} must run with NOFIS_REFERENCE_MATH={}",
-        if reference { "1" } else { "unset" }
-    );
     let cfg = *CONFIGS
         .iter()
         .find(|c| c.name == config)
@@ -788,49 +545,25 @@ fn worker(variant: &str, config: &str, smoke: bool) {
     let threads = nofis_parallel::global().threads();
     let (mut store, flow, mut opt) = build(cfg);
 
-    let timing = if compiled {
-        // Trace once, compile once, then every step is a replay — exactly
-        // the steady-state of `nofis_core`'s train loop with
-        // `compile_tape` on (the default).
-        let mut g = Graph::new();
-        g.set_fusion(true);
-        g.set_pruning(true);
-        let (x, loss) = trace_loss(&mut g, &store, &flow, cfg, 1 << 40);
-        g.backward(loss);
-        let mut cs = CompiledStep::compile(&g, loss, Some(x), &store);
-        drop(g);
-        measure(smoke, |s| {
-            cs.replay_forward(
-                &store,
-                |buf| lcg_fill(buf, s),
-                nofis_parallel::global(),
-                oracle,
-            );
-            cs.backward();
-            opt.step_fused(&mut store, &cs);
-            (cs.value(loss).item(), cs.pool_stats())
-        })
-    } else {
-        // Persistent graph for the pooled lanes; the seed lanes rebuild it
-        // from scratch every step, exactly like the pre-optimization loop.
-        let mut persistent = Graph::new();
-        persistent.set_fusion(fused);
-        persistent.set_pruning(pruned);
-        measure(smoke, |s| {
-            let loss = if pooled {
-                persistent.reset();
-                run_step(&mut persistent, &mut store, &flow, &mut opt, cfg, true, s)
-            } else {
-                let mut fresh = Graph::new();
-                fresh.set_fusion(fused);
-                fresh.set_pruning(pruned);
-                run_step(&mut fresh, &mut store, &flow, &mut opt, cfg, false, s)
-            };
-            // The unpooled lanes never touch the persistent pool, so their
-            // tape allocations show up as time, not pool traffic.
-            (loss, persistent.pool_stats())
-        })
-    };
+    // Persistent graph for the pooled lanes; the seed lanes rebuild it
+    // from scratch every step, exactly like the pre-optimization loop.
+    let mut persistent = Graph::new();
+    persistent.set_fusion(fused);
+    persistent.set_pruning(pruned);
+    let timing = measure(smoke, |s| {
+        let loss = if pooled {
+            persistent.reset();
+            run_step(&mut persistent, &mut store, &flow, &mut opt, cfg, true, s)
+        } else {
+            let mut fresh = Graph::new();
+            fresh.set_fusion(fused);
+            fresh.set_pruning(pruned);
+            run_step(&mut fresh, &mut store, &flow, &mut opt, cfg, false, s)
+        };
+        // The unpooled lanes never touch the persistent pool, so their
+        // tape allocations show up as time, not pool traffic.
+        (loss, persistent.pool_stats())
+    });
 
     let rec = CellRecord {
         config: config.to_string(),
@@ -838,8 +571,6 @@ fn worker(variant: &str, config: &str, smoke: bool) {
         pooled,
         pruned,
         fused,
-        compiled,
-        reference,
         threads,
         ns_per_step: timing.ns_per_step,
         steps_timed: timing.steps_timed,
@@ -850,14 +581,12 @@ fn worker(variant: &str, config: &str, smoke: bool) {
     // The vendored serde is serialize-only, so the worker→parent channel
     // is a whitespace-delimited line rather than JSON.
     println!(
-        "CELL {} {} {} {} {} {} {} {} {} {} {} {} {}",
+        "CELL {} {} {} {} {} {} {} {} {} {} {}",
         rec.config,
         rec.variant,
         rec.pooled,
         rec.pruned,
         rec.fused,
-        rec.compiled,
-        rec.reference,
         rec.threads,
         rec.ns_per_step,
         rec.steps_timed,
@@ -877,18 +606,6 @@ fn spawn_worker(variant: &str, config: &str, threads: usize, smoke: bool) -> Cel
         cmd.arg("--smoke");
     }
     cmd.env("NOFIS_THREADS", threads.to_string());
-    // Reference-math lanes run under the once-read env switch; everyone
-    // else must see it unset even if the parent environment carries it.
-    let reference = VARIANTS
-        .iter()
-        .find(|(name, ..)| *name == variant)
-        .map(|v| v.5)
-        .unwrap_or(false);
-    if reference {
-        cmd.env("NOFIS_REFERENCE_MATH", "1");
-    } else {
-        cmd.env_remove("NOFIS_REFERENCE_MATH");
-    }
     let out = cmd.output().expect("spawn bench worker");
     assert!(
         out.status.success(),
@@ -902,21 +619,19 @@ fn spawn_worker(variant: &str, config: &str, threads: usize, smoke: bool) -> Cel
         .find(|l| l.starts_with("CELL "))
         .expect("worker emitted no CELL record");
     let f: Vec<&str> = line.split_whitespace().collect();
-    assert_eq!(f.len(), 14, "malformed worker record: {line}");
+    assert_eq!(f.len(), 12, "malformed worker record: {line}");
     CellRecord {
         config: f[1].to_string(),
         variant: f[2].to_string(),
         pooled: f[3].parse().expect("pooled"),
         pruned: f[4].parse().expect("pruned"),
         fused: f[5].parse().expect("fused"),
-        compiled: f[6].parse().expect("compiled"),
-        reference: f[7].parse().expect("reference"),
-        threads: f[8].parse().expect("threads"),
-        ns_per_step: f[9].parse().expect("ns_per_step"),
-        steps_timed: f[10].parse().expect("steps_timed"),
-        pool_allocs_per_step: f[11].parse().expect("allocs"),
-        pool_hits_per_step: f[12].parse().expect("hits"),
-        final_loss: f[13].parse().expect("loss"),
+        threads: f[6].parse().expect("threads"),
+        ns_per_step: f[7].parse().expect("ns_per_step"),
+        steps_timed: f[8].parse().expect("steps_timed"),
+        pool_allocs_per_step: f[9].parse().expect("allocs"),
+        pool_hits_per_step: f[10].parse().expect("hits"),
+        final_loss: f[11].parse().expect("loss"),
     }
 }
 
@@ -925,8 +640,6 @@ fn main() {
     let mut overhead_check = false;
     let mut ckpt_overhead_check = false;
     let mut metrics_overhead_check = false;
-    let mut compile_overhead_check = false;
-    let mut compiled_speedup_check = false;
     let mut worker_variant: Option<String> = None;
     let mut worker_config: Option<String> = None;
     let mut args = std::env::args().skip(1);
@@ -936,8 +649,6 @@ fn main() {
             "--assert-telemetry-overhead" => overhead_check = true,
             "--assert-checkpoint-overhead" => ckpt_overhead_check = true,
             "--assert-metrics-overhead" => metrics_overhead_check = true,
-            "--assert-compile-overhead" => compile_overhead_check = true,
-            "--assert-compiled-speedup" => compiled_speedup_check = true,
             "--worker" => worker_variant = Some(args.next().expect("--worker VARIANT")),
             "--config" => worker_config = Some(args.next().expect("--config NAME")),
             other => panic!("unknown argument {other}"),
@@ -953,14 +664,6 @@ fn main() {
     }
     if metrics_overhead_check {
         assert_metrics_overhead(smoke);
-        return;
-    }
-    if compile_overhead_check {
-        assert_compile_overhead(smoke);
-        return;
-    }
-    if compiled_speedup_check {
-        assert_compiled_speedup(smoke);
         return;
     }
     if let Some(variant) = worker_variant {
@@ -993,8 +696,6 @@ fn main() {
     }
 
     let mut speedup_full_vs_seed = Vec::new();
-    let mut speedup_compiled_vs_fused = Vec::new();
-    let mut speedup_compiled_vs_pr3_fused = Vec::new();
     for cfg in configs {
         for threads in [1usize, 4] {
             let find = |name: &str| {
@@ -1005,7 +706,6 @@ fn main() {
             };
             let seed = find("seed");
             let full = find("pooled_pruned_fused");
-            let compiled = find("compiled");
             let rec = SpeedupRecord {
                 config: cfg.name,
                 threads,
@@ -1018,31 +718,6 @@ fn main() {
                 cfg.name, rec.speedup
             );
             speedup_full_vs_seed.push(rec);
-            let crec = CompiledSpeedupRecord {
-                config: cfg.name,
-                threads,
-                fused_ns_per_step: full.ns_per_step,
-                compiled_ns_per_step: compiled.ns_per_step,
-                speedup: full.ns_per_step / compiled.ns_per_step,
-            };
-            println!(
-                "speedup compiled vs pooled+pruned+fused [{}] @ {threads} threads: {:.2}x",
-                cfg.name, crec.speedup
-            );
-            speedup_compiled_vs_fused.push(crec);
-            let pr3 = find("fused_pr3");
-            let prec = CompiledSpeedupRecord {
-                config: cfg.name,
-                threads,
-                fused_ns_per_step: pr3.ns_per_step,
-                compiled_ns_per_step: compiled.ns_per_step,
-                speedup: pr3.ns_per_step / compiled.ns_per_step,
-            };
-            println!(
-                "speedup compiled vs PR 3 fused path [{}] @ {threads} threads: {:.2}x",
-                cfg.name, prec.speedup
-            );
-            speedup_compiled_vs_pr3_fused.push(prec);
         }
     }
 
@@ -1053,14 +728,10 @@ fn main() {
         note: "allocs/step counts BufferPool misses over the timed window; \
                unpooled lanes build a fresh tape per step so their pool \
                column stays at zero by construction — their allocations \
-               show up as time, not as pool traffic. The compiled lane \
-               meters its backward scratch pool (value/grad buffers are \
-               preplanned and never reallocated). ns/step is the fastest \
-               of three timed windows (noise-robust minimum)",
+               show up as time, not as pool traffic. ns/step is the \
+               fastest of three timed windows (noise-robust minimum)",
         cells,
         speedup_full_vs_seed,
-        speedup_compiled_vs_fused,
-        speedup_compiled_vs_pr3_fused,
     };
     std::fs::create_dir_all("results").ok();
     std::fs::write(

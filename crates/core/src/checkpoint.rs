@@ -33,6 +33,7 @@
 use crate::{NofisConfig, StageReport};
 use nofis_autograd::Tensor;
 use nofis_nn::AdamState;
+use nofis_prob::checksum::{crc32, fnv1a};
 use nofis_telemetry as tele;
 use std::fmt;
 use std::io::Write as _;
@@ -214,39 +215,6 @@ pub struct Checkpoint {
     /// state lives in [`StagePartial::adam`]). Resume never reads it, so
     /// it cannot perturb the §11 bitwise-resume contract.
     pub final_adam: Option<AdamState>,
-}
-
-// ---------------------------------------------------------------------------
-// CRC-32 (IEEE 802.3, reflected) — table built once at startup.
-
-fn crc32_table() -> &'static [u32; 256] {
-    use std::sync::OnceLock;
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, slot) in table.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 {
-                    0xedb8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-            }
-            *slot = c;
-        }
-        table
-    })
-}
-
-/// CRC-32 (IEEE) of `bytes`, as used in the checkpoint trailer.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let table = crc32_table();
-    let mut c = 0xffff_ffffu32;
-    for &b in bytes {
-        c = table[((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
-    }
-    c ^ 0xffff_ffff
 }
 
 // ---------------------------------------------------------------------------
@@ -652,17 +620,11 @@ pub fn config_fingerprint(cfg: &NofisConfig, dim: usize) -> u64 {
     e.f64(cfg.learning_rate);
     e.u64(cfg.minibatch as u64);
     e.bool(cfg.freeze);
-    e.bool(cfg.prune_frozen);
     e.u64(cfg.max_calls.unwrap_or(u64::MAX));
     e.f64(cfg.max_grad_norm.unwrap_or(f64::NAN));
     e.u64(cfg.stage_retries as u64);
 
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in &e.buf {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    fnv1a(&e.buf)
 }
 
 /// FNV-1a fingerprint of the *warm-start compatibility* fields: the flow
@@ -701,12 +663,7 @@ pub fn warm_fingerprint(cfg: &NofisConfig, dim: usize) -> u64 {
     e.f64(cfg.s_max);
     e.bool(cfg.freeze);
 
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in &e.buf {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    fnv1a(&e.buf)
 }
 
 /// Donor state for warm-starting a sibling run: the finished donor's
@@ -1162,11 +1119,10 @@ mod tests {
         let mut observed = base.clone();
         observed.threads = Some(3);
         observed.checkpoint = Some(CheckpointConfig::new("/tmp/x"));
-        observed.compile_tape = !base.compile_tape;
         assert_eq!(
             fp,
             config_fingerprint(&observed, 6),
-            "observability and execution-engine knobs are excluded"
+            "observability knobs are excluded"
         );
     }
 

@@ -70,22 +70,6 @@ pub struct NofisConfig {
     /// Freeze earlier stage blocks while training stage `m` (the paper's
     /// default policy; `false` reproduces the "NoFreeze" ablation).
     pub freeze: bool,
-    /// Skip backward kernels (and gradient buffers) for subgraphs whose
-    /// only parameters are frozen — when training stage `m`, the `m − 1`
-    /// frozen coupling blocks then cost forward-only. The surviving
-    /// gradients are bitwise identical with pruning on or off (see
-    /// DESIGN.md §9), so this is purely a speed knob; `false` restores the
-    /// exhaustive backward pass.
-    pub prune_frozen: bool,
-    /// Trace-once/replay execution (DESIGN.md §13): build the training tape
-    /// once per (minibatch shape, stage depth, frozen mask), lower it to a
-    /// flat `CompiledStep` instruction stream with preplanned buffers, and
-    /// replay that for subsequent steps — no per-step tape construction.
-    /// Replays are bitwise identical to the interpreted engine (enforced by
-    /// `tests/compiled_equivalence.rs`), so this is purely a speed knob.
-    /// The `NOFIS_COMPILE` environment variable (`0`/`1`) overrides it in
-    /// [`Nofis::new`](crate::Nofis::new).
-    pub compile_tape: bool,
     /// Optional hard cap on total simulator calls for
     /// [`Nofis::run`](crate::Nofis::run) /
     /// [`Nofis::train`](crate::Nofis::train). When the cap is hit, the
@@ -173,8 +157,6 @@ impl Default for NofisConfig {
             learning_rate: 5e-3,
             minibatch: 64,
             freeze: true,
-            prune_frozen: true,
-            compile_tape: true,
             max_calls: None,
             max_grad_norm: Some(100.0),
             stage_retries: 2,
@@ -363,41 +345,16 @@ impl NofisConfig {
         nofis_shard::apply_env().map_err(ConfigError::new)
     }
 
-    /// Applies the `NOFIS_COMPILE` environment override to
-    /// [`NofisConfig::compile_tape`] (called by
-    /// [`Nofis::new`](crate::Nofis::new)): `0` disables the compiled
-    /// trace-once/replay engine, `1` enables it, unset leaves the field
-    /// as configured.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] when the variable is set to anything other
-    /// than `0` or `1`.
-    pub(crate) fn apply_compile_env(&mut self) -> Result<(), ConfigError> {
-        match std::env::var("NOFIS_COMPILE") {
-            Ok(raw) => match raw.trim() {
-                "0" => {
-                    self.compile_tape = false;
-                    Ok(())
-                }
-                "1" => {
-                    self.compile_tape = true;
-                    Ok(())
-                }
-                _ => Err(ConfigError::new(format!(
-                    "NOFIS_COMPILE must be 0 or 1, got {raw:?}"
-                ))),
-            },
-            Err(_) => Ok(()),
-        }
-    }
-
-    /// The simulator-call budget training will consume (`M·E·N` plus any
-    /// adaptive pilot calls); the final estimate adds `n_is` more.
+    /// Upper bound on the simulator calls training consumes: `M·E·N` plus,
+    /// for an adaptive schedule, one pilot batch for each of the first
+    /// `M − 1` stages (the last stage's level is fixed at 0 and draws no
+    /// pilot). A fixed schedule spends exactly this; an adaptive one spends
+    /// less when its levels reach 0 before stage `M`. The final estimate
+    /// adds `n_is` more.
     pub fn training_budget(&self) -> u64 {
         let stages = self.levels.max_stages() as u64;
         let pilot = match self.levels {
-            Levels::AdaptiveQuantile { pilot, .. } => pilot as u64 * stages,
+            Levels::AdaptiveQuantile { pilot, .. } => pilot as u64 * stages.saturating_sub(1),
             Levels::Fixed(_) => 0,
         };
         stages * self.epochs as u64 * self.batch_size as u64 + pilot
@@ -594,7 +551,8 @@ mod tests {
             batch_size: 100,
             ..Default::default()
         };
-        assert_eq!(cfg.training_budget(), 3 * 10 * 100 + 150);
+        // The last adaptive stage trains at level 0 without a pilot.
+        assert_eq!(cfg.training_budget(), 3 * 10 * 100 + 2 * 50);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 use crate::checkpoint::{self, Checkpoint, Checkpointer, StagePartial, WarmStart};
 use crate::preempt;
 use crate::{ConfigError, FlowProposal, Levels, NofisConfig, NofisError, StageReport};
-use nofis_autograd::{CompiledStep, Graph, ParamId, ParamStore, Tensor, Var};
+use nofis_autograd::{Graph, ParamId, ParamStore, Tensor};
 use nofis_flows::RealNvp;
 use nofis_nn::{Adam, AdamState};
 use nofis_prob::{
@@ -16,18 +16,6 @@ use rand::{Rng, SeedableRng, StateRng};
 
 /// Epoch-loss magnitude beyond which training is declared divergent (a
 /// healthy tempered-KL loss is `O(D)`, nowhere near this).
-/// A compiled training step plus the key it was specialized for: replay
-/// is valid only while the minibatch row count, the stage depth, and the
-/// [`ParamStore`] frozen mask (checked via `CompiledStep::mask_matches`)
-/// all still match — any mismatch retraces and recompiles (DESIGN.md §13).
-struct TapeCache {
-    depth: usize,
-    n: usize,
-    logdet: Var,
-    loss: Var,
-    step: CompiledStep,
-}
-
 const LOSS_DIVERGENCE_LIMIT: f64 = 1e12;
 
 /// Per-row `|log det|` beyond which a minibatch is declared divergent: the
@@ -146,7 +134,6 @@ impl Nofis {
     /// bound, or `NOFIS_FAULT_PLAN` is malformed.
     pub fn new(mut config: NofisConfig) -> Result<Self, ConfigError> {
         config.apply_checkpoint_env()?;
-        config.apply_compile_env()?;
         config
             .metrics
             .apply_env()
@@ -345,14 +332,7 @@ impl Nofis {
         // of earlier coupling blocks without changing any surviving
         // gradient bit (DESIGN.md §9).
         let mut g = Graph::new();
-        g.set_pruning(cfg.prune_frozen);
-        // Trace-once/replay (DESIGN.md §13): the first minibatch of each
-        // (rows, depth, frozen-mask) combination runs interpreted and is
-        // lowered into a `CompiledStep`; subsequent matching minibatches
-        // replay it. Replays are bitwise identical to the interpreted
-        // engine, so the cache never changes results — any shape or mask
-        // change (stage advance, tail minibatch, resume) simply retraces.
-        let mut tape_cache: Option<TapeCache> = None;
+        g.set_pruning(true);
 
         tele::event(tele::Level::Info, "train.start")
             .field("dim", dim)
@@ -530,14 +510,6 @@ impl Nofis {
                                 format!("training stage {}", stage + 1),
                             ));
                         }
-                        // Engine selection: replay the compiled tape when one
-                        // matches this (rows, depth, frozen-mask) exactly;
-                        // otherwise trace interpreted (and compile the trace
-                        // for the steps that follow).
-                        let replaying = cfg.compile_tape
-                            && tape_cache.as_ref().is_some_and(|c| {
-                                c.depth == depth && c.n == n && c.step.mask_matches(&store)
-                            });
                         // tempered term: min(tau * (a_m - g(z)), 0). A
                         // non-finite simulator response is sanitized to
                         // "safely non-failing, zero gradient" so one broken
@@ -548,33 +520,23 @@ impl Nofis {
                         // in `BudgetedOracle`) is handled like a divergent
                         // minibatch: roll back to the best checkpoint and
                         // retry. The pool itself survives a worker panic, so
-                        // retrying is sound. Both engines share the sanitize
-                        // closure and the fixed-chunk row evaluator, so the
-                        // oracle sees the same calls in the same order.
-                        let (chunk_loss, logdet_mag, traced) = if replaying {
-                            let cache = tape_cache.as_mut().expect("cache presence checked");
-                            let replay =
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    cache.step.replay_forward(
-                                        &store,
-                                        |buf| base.sample_fill(buf, rng),
-                                        nofis_parallel::global(),
-                                        |row| {
-                                            let (v, grad) = oracle.value_grad(row);
-                                            if v.is_finite() && grad.iter().all(|gi| gi.is_finite())
-                                            {
-                                                (v, grad)
-                                            } else {
-                                                (level + 1.0, vec![0.0; dim])
-                                            }
-                                        },
-                                    );
-                                }));
-                            if replay.is_err() {
-                                // A panic can leave the preplanned buffers
-                                // half-written; drop the cache so the retry
-                                // pass retraces from scratch.
-                                tape_cache = None;
+                        // retrying is sound.
+                        g.reset();
+                        let x = g.constant_with(n, dim, |buf| base.sample_fill(buf, rng));
+                        let (z, logdet) = flow.forward_graph(&store, &mut g, x, depth);
+                        let eval = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                            g.external_rowwise_par(z, nofis_parallel::global(), |row| {
+                                let (v, grad) = oracle.value_grad(row);
+                                if v.is_finite() && grad.iter().all(|gi| gi.is_finite()) {
+                                    (v, grad)
+                                } else {
+                                    (level + 1.0, vec![0.0; dim])
+                                }
+                            })
+                        }));
+                        let gvals = match eval {
+                            Ok(gvals) => gvals,
+                            Err(_) => {
                                 divergence = Some((
                                     epoch,
                                     "a worker thread panicked while evaluating the minibatch"
@@ -582,56 +544,22 @@ impl Nofis {
                                 ));
                                 break 'epochs;
                             }
-                            (
-                                cache.step.value(cache.loss).item(),
-                                cache.step.value(cache.logdet).max_abs(),
-                                None,
-                            )
-                        } else {
-                            g.reset();
-                            let x = g.constant_with(n, dim, |buf| base.sample_fill(buf, rng));
-                            let (z, logdet) = flow.forward_graph(&store, &mut g, x, depth);
-                            let eval =
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    g.external_rowwise_par(z, nofis_parallel::global(), |row| {
-                                        let (v, grad) = oracle.value_grad(row);
-                                        if v.is_finite() && grad.iter().all(|gi| gi.is_finite()) {
-                                            (v, grad)
-                                        } else {
-                                            (level + 1.0, vec![0.0; dim])
-                                        }
-                                    })
-                                }));
-                            let gvals = match eval {
-                                Ok(gvals) => gvals,
-                                Err(_) => {
-                                    divergence = Some((
-                                        epoch,
-                                        "a worker thread panicked while evaluating the minibatch"
-                                            .into(),
-                                    ));
-                                    break 'epochs;
-                                }
-                            };
-                            let neg_tau_g = g.scale(gvals, -cfg.tau);
-                            let shifted = g.add_scalar(neg_tau_g, cfg.tau * level);
-                            let tempered = g.min_scalar(shifted, 0.0);
-                            // base log-density of z: -D/2 ln 2π - ||z||²/2
-                            let sq = g.square(z);
-                            let ssq = g.sum_cols(sq);
-                            let half = g.scale(ssq, -0.5);
-                            let logp = g.add_scalar(half, -0.5 * dim as f64 * LN_2PI);
-
-                            let a = g.add(logdet, tempered);
-                            let per_sample = g.add(a, logp);
-                            let mean = g.mean_all(per_sample);
-                            let loss = g.neg(mean);
-                            (
-                                g.value(loss).item(),
-                                g.value(logdet).max_abs(),
-                                Some((x, logdet, loss)),
-                            )
                         };
+                        let neg_tau_g = g.scale(gvals, -cfg.tau);
+                        let shifted = g.add_scalar(neg_tau_g, cfg.tau * level);
+                        let tempered = g.min_scalar(shifted, 0.0);
+                        // base log-density of z: -D/2 ln 2π - ||z||²/2
+                        let sq = g.square(z);
+                        let ssq = g.sum_cols(sq);
+                        let half = g.scale(ssq, -0.5);
+                        let logp = g.add_scalar(half, -0.5 * dim as f64 * LN_2PI);
+
+                        let a = g.add(logdet, tempered);
+                        let per_sample = g.add(a, logp);
+                        let mean = g.mean_all(per_sample);
+                        let loss = g.neg(mean);
+                        let chunk_loss = g.value(loss).item();
+                        let logdet_mag = g.value(logdet).max_abs();
                         consumed += n;
                         if !chunk_loss.is_finite() || logdet_mag > LOGDET_DIVERGENCE_LIMIT {
                             divergence = Some((
@@ -640,36 +568,8 @@ impl Nofis {
                             ));
                             break 'epochs;
                         }
-                        match traced {
-                            None => {
-                                let cache = tape_cache.as_mut().expect("replayed from this cache");
-                                cache.step.backward();
-                                opt.step_fused(&mut store, &cache.step);
-                            }
-                            Some((x, logdet, loss)) => {
-                                g.backward(loss);
-                                if cfg.compile_tape {
-                                    let step = CompiledStep::compile(&g, loss, Some(x), &store);
-                                    if tele::enabled(tele::Level::Debug) {
-                                        tele::event(tele::Level::Debug, "train.compile")
-                                            .field("stage", stage + 1)
-                                            .field("n", n)
-                                            .field("depth", depth)
-                                            .field("instrs", step.len())
-                                            .field("backward_nodes", step.backward_nodes())
-                                            .emit();
-                                    }
-                                    tape_cache = Some(TapeCache {
-                                        depth,
-                                        n,
-                                        logdet,
-                                        loss,
-                                        step,
-                                    });
-                                }
-                                opt.step_fused(&mut store, &g);
-                            }
-                        }
+                        g.backward(loss);
+                        opt.step_fused(&mut store, &g);
                         stage_steps += 1;
                         global_step += 1;
                         if tele::enabled(tele::Level::Trace) {
@@ -677,7 +577,6 @@ impl Nofis {
                                 .field("stage", stage + 1)
                                 .field("epoch", epoch)
                                 .field("n", n)
-                                .field("engine", if replaying { "replay" } else { "trace" })
                                 .field("loss", chunk_loss);
                             if let Some(norm) = opt.last_grad_norm() {
                                 step = step.field("grad_norm", norm);

@@ -150,6 +150,10 @@ pub enum FaultKind {
     /// A shard worker wedges (never answers), exercising the per-request
     /// wall-clock timeout.
     ShardHang,
+    /// The supervisor's request write to a shard worker fails: the worker
+    /// is killed and reaped just before the write, so the write meets a
+    /// closed pipe and the shard goes back to the queue undispatched.
+    ShardWriteFail,
 }
 
 impl FaultKind {
@@ -166,9 +170,10 @@ impl FaultKind {
             FaultKind::QueueOverflow => Site::JobSubmit,
             FaultKind::JobPanic | FaultKind::DeadlineStorm => Site::JobStart,
             FaultKind::ShardSpawnFail => Site::ShardSpawn,
-            FaultKind::ShardDeath | FaultKind::ShardGarbage | FaultKind::ShardHang => {
-                Site::ShardDispatch
-            }
+            FaultKind::ShardDeath
+            | FaultKind::ShardGarbage
+            | FaultKind::ShardHang
+            | FaultKind::ShardWriteFail => Site::ShardDispatch,
         }
     }
 
@@ -189,6 +194,7 @@ impl FaultKind {
             FaultKind::ShardDeath => "shard_death",
             FaultKind::ShardGarbage => "shard_garbage",
             FaultKind::ShardHang => "shard_hang",
+            FaultKind::ShardWriteFail => "shard_write_fail",
         }
     }
 
@@ -208,6 +214,7 @@ impl FaultKind {
             "shard_death" => FaultKind::ShardDeath,
             "shard_garbage" => FaultKind::ShardGarbage,
             "shard_hang" => FaultKind::ShardHang,
+            "shard_write_fail" => FaultKind::ShardWriteFail,
             _ => return None,
         })
     }
@@ -529,6 +536,7 @@ mod tests {
             (FaultKind::ShardDeath, Site::ShardDispatch),
             (FaultKind::ShardGarbage, Site::ShardDispatch),
             (FaultKind::ShardHang, Site::ShardDispatch),
+            (FaultKind::ShardWriteFail, Site::ShardDispatch),
         ] {
             assert_eq!(kind.site(), site);
             // Every kind's keyword parses back to itself.

@@ -1,4 +1,4 @@
-use nofis_autograd::{GradSource, ParamId, ParamStore, Tensor};
+use nofis_autograd::{Graph, ParamId, ParamStore, Tensor};
 
 /// A snapshot of the optimizer's per-parameter state — the first/second
 /// moment estimates and the per-parameter step counts — for durable
@@ -194,19 +194,18 @@ impl Adam {
         }
     }
 
-    /// Applies one Adam update directly from a [`GradSource`]'s
-    /// parameter-leaf gradients — an interpreted `Graph` after `backward`
-    /// or a `CompiledStep` after replay — without materializing a
+    /// Applies one Adam update directly from a [`Graph`]'s parameter-leaf
+    /// gradients after `backward`, without materializing a
     /// `Vec<(ParamId, Tensor)>`.
     ///
     /// The arithmetic — global-norm clip pass included — is bitwise
-    /// identical to `self.step(store, &source.param_grads())`: gradients
+    /// identical to `self.step(store, &graph.param_grads())`: gradients
     /// are visited in the same first-appearance tape order, and the one
     /// case where the fused walk would differ (a parameter injected at
     /// several tape positions, whose partial gradients must be summed
     /// before squaring) is detected and routed through the materializing
     /// path.
-    pub fn step_fused(&mut self, store: &mut ParamStore, source: &impl GradSource) {
+    pub fn step_fused(&mut self, store: &mut ParamStore, graph: &Graph) {
         // Duplicate detection with generation-stamped scratch (allocation-
         // free once `seen` covers the store).
         self.seen_gen += 1;
@@ -214,7 +213,7 @@ impl Adam {
         let mut duplicate = false;
         {
             let seen = &mut self.seen;
-            source.for_each_param_grad(|id, _| {
+            graph.for_each_param_grad(|id, _| {
                 let idx = id.index();
                 if idx >= seen.len() {
                     seen.resize(idx + 1, 0);
@@ -227,14 +226,14 @@ impl Adam {
             });
         }
         if duplicate {
-            let grads = source.param_grads();
+            let grads = graph.param_grads();
             self.step(store, &grads);
             return;
         }
         let clip = match self.max_grad_norm {
             Some(max_norm) => {
                 let mut sq_sum = 0.0;
-                source.for_each_param_grad(|id, grad| {
+                graph.for_each_param_grad(|id, grad| {
                     if !store.is_frozen(id) && grad.is_finite() {
                         sq_sum += grad.as_slice().iter().map(|g| g * g).sum::<f64>();
                     }
@@ -249,7 +248,7 @@ impl Adam {
             }
             None => 1.0,
         };
-        source.for_each_param_grad(|id, grad| {
+        graph.for_each_param_grad(|id, grad| {
             self.update_param(store, id, grad, clip);
         });
     }

@@ -1,4 +1,5 @@
-//! Deterministic scalar math kernels shared by every execution engine.
+//! Deterministic scalar math kernels shared by the training tape and the
+//! gradient-free flow passes.
 //!
 //! The NOFIS forward pass is dominated by `tanh`: at the default stage-3
 //! configuration the fused `matmul+bias+tanh` layers spend ~70% of a
@@ -13,24 +14,11 @@
 //! no FMA, no lookup into platform libm, no data-dependent reassociation.
 //! Two calls with the same input bits produce the same output bits on any
 //! machine and at any thread count — the same contract the matmul kernels
-//! in [`crate::kernels`] pin. Both the interpreted [`Graph`] ops and the
-//! compiled-tape replay engine route their activations through
-//! [`tanh`], so interpreted ↔ compiled bitwise equivalence is preserved
-//! by construction.
+//! in [`crate::kernels`] pin. The [`Graph`] ops and the gradient-free
+//! coupling-layer conditioner route their activations through [`tanh`],
+//! so tape and tape-free passes agree bitwise by construction.
 //!
 //! [`Graph`]: ../../nofis_autograd/struct.Graph.html
-//!
-//! # Reference mode
-//!
-//! Setting `NOFIS_REFERENCE_MATH=1` (read once per process) switches
-//! [`tanh`] back to libm and the matmul dispatchers in
-//! [`crate::kernels`] back to the scalar reference composition — i.e. the
-//! numeric stack exactly as it existed before the compiled-tape engine
-//! landed. The train-step benchmark uses this lane to reconstruct the
-//! old path for honest A/B speedup numbers; it is also a debugging aid
-//! when a numeric question needs a second, independent implementation.
-
-use std::sync::OnceLock;
 
 /// `2^(j/32)` for `j = 0..32`, the table half of the `exp` range
 /// reduction. Decimal literals carry 17 significant digits, so each
@@ -154,30 +142,13 @@ pub fn fast_tanh(x: f64) -> f64 {
     }
 }
 
-static REFERENCE: OnceLock<bool> = OnceLock::new();
-
-/// Whether `NOFIS_REFERENCE_MATH=1` was set when first checked.
+/// The engine-wide activation, [`fast_tanh`].
 ///
-/// Read once per process and cached; flipping the variable afterwards
-/// has no effect (the same once-read discipline as `NOFIS_THREADS`).
-#[inline]
-pub fn reference_math() -> bool {
-    *REFERENCE.get_or_init(|| std::env::var("NOFIS_REFERENCE_MATH").is_ok_and(|v| v.trim() == "1"))
-}
-
-/// The engine-wide activation: [`fast_tanh`], or libm `tanh` when
-/// [`reference_math`] is on.
-///
-/// Every forward *and* backward site that evaluates a tanh — the
-/// interpreted graph ops, the compiled-tape replay mirrors, and the
-/// gradient-free coupling-layer conditioner — must call this function
-/// (never `f64::tanh` directly), so that all engines agree bitwise in
-/// either mode.
+/// Every forward *and* backward site that evaluates a tanh — the graph
+/// ops and the gradient-free coupling-layer conditioner — must call this
+/// function (never `f64::tanh` directly), so that all of them agree
+/// bitwise.
 #[inline]
 pub fn tanh(x: f64) -> f64 {
-    if reference_math() {
-        x.tanh()
-    } else {
-        fast_tanh(x)
-    }
+    fast_tanh(x)
 }

@@ -1,7 +1,7 @@
 //! Accuracy and determinism properties of the shared scalar math kernels.
 //!
-//! [`fast_tanh`] is the engine-wide activation (both the interpreted
-//! graph and the compiled-tape replay route through it), so its contract
+//! [`fast_tanh`] is the engine-wide activation (every graph op and the
+//! gradient-free flow passes route through it), so its contract
 //! is pinned here independently of any flow test: tight relative error
 //! against libm, exact odd symmetry, saturation, special-value behavior
 //! matching libm, and monotonicity where the slope is meaningful.
@@ -99,9 +99,7 @@ fn monotone_where_slope_dominates() {
 }
 
 #[test]
-fn dispatcher_uses_fast_path_without_reference_env() {
-    // The test process does not set NOFIS_REFERENCE_MATH, so the
-    // dispatcher must resolve to the fast kernel, bitwise.
+fn engine_tanh_is_fast_tanh_bitwise() {
     for x in lcg_stream(19, 10_000, -10.0, 10.0) {
         assert_eq!(tanh(x).to_bits(), fast_tanh(x).to_bits());
     }

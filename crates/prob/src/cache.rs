@@ -33,17 +33,13 @@
 //! hit/miss/insert counters flow to telemetry under the workspace's
 //! "observe but never influence" rule (DESIGN.md §10).
 
+use crate::checksum::Fnv1a;
 use crate::LimitState;
 use nofis_telemetry as tele;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-
-/// FNV-1a offset basis (64-bit).
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime (64-bit).
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Number of independently locked shards. Power of two; bounds lock
 /// contention when many corner jobs share one cache.
@@ -56,16 +52,17 @@ const SHARDS: usize = 16;
 /// This is a *locator*, not the identity — see the module docs.
 #[must_use]
 pub fn cache_key(oracle_id: u64, x: &[f64]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for b in oracle_id.to_le_bytes() {
-        h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+    digest(oracle_id, x.iter().map(|xi| xi.to_bits()))
+}
+
+/// FNV-1a over the oracle id's bytes, then each bit-pattern word's bytes.
+fn digest(oracle_id: u64, bits: impl Iterator<Item = u64>) -> u64 {
+    let mut h = Fnv1a::new();
+    h.write(&oracle_id.to_le_bytes());
+    for w in bits {
+        h.write(&w.to_le_bytes());
     }
-    for &xi in x {
-        for b in xi.to_bits().to_le_bytes() {
-            h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-        }
-    }
-    h
+    h.finish()
 }
 
 /// A plain-`u64` pass-through hasher: map keys are already FNV-1a
@@ -98,16 +95,7 @@ impl std::hash::Hash for FullKey {
     fn hash<H: Hasher>(&self, state: &mut H) {
         // Re-derive the FNV digest so bucket placement is deterministic
         // across processes (std's default RandomState is not).
-        let mut h = FNV_OFFSET;
-        for b in self.oracle_id.to_le_bytes() {
-            h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-        }
-        for &w in self.bits.iter() {
-            for b in w.to_le_bytes() {
-                h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-            }
-        }
-        state.write_u64(h);
+        state.write_u64(digest(self.oracle_id, self.bits.iter().copied()));
     }
 }
 

@@ -13,6 +13,7 @@
 //! * [`Proposal`] and [`importance_sampling`] — the IS estimator of Eq. (2).
 //! * [`log_error`], [`RunningStats`], [`quantile`] — the paper's evaluation
 //!   metric and experiment statistics.
+//! * [`checksum`] — the workspace's one CRC-32 and one FNV-1a.
 //!
 //! # Example
 //!
@@ -41,6 +42,7 @@
 mod batch;
 mod budget;
 mod cache;
+pub mod checksum;
 mod composite;
 mod defensive;
 mod diagnostics;

@@ -18,8 +18,8 @@
 //! supervisor treats every inbound byte as attacker-grade untrusted input
 //! because a half-dead worker can emit anything.
 
+use nofis_prob::checksum::crc32;
 use std::io::{Read, Write};
-use std::sync::OnceLock;
 
 /// Frame magic: "NFS1" as a little-endian u32. A mismatch means the stream
 /// is not positioned at a frame boundary (garbage output, desync) and the
@@ -81,38 +81,6 @@ impl std::error::Error for FrameError {
             _ => None,
         }
     }
-}
-
-/// CRC-32 (IEEE 802.3, reflected) lookup table, built once. Same algorithm
-/// as the checkpoint store's integrity checksum, re-implemented here so the
-/// transport crate stays dependency-light.
-fn crc32_table() -> &'static [u32; 256] {
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, entry) in table.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-            }
-            *entry = c;
-        }
-        table
-    })
-}
-
-/// CRC-32 of `bytes` (IEEE 802.3, reflected, init/final-xor `0xffff_ffff`).
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let table = crc32_table();
-    let mut c = 0xffff_ffffu32;
-    for &b in bytes {
-        c = table[((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
-    }
-    c ^ 0xffff_ffff
 }
 
 /// Writes one frame (header + payload). Does not flush — callers flush

@@ -52,7 +52,7 @@ mod worker;
 pub use fleet::{
     apply_env, pool_for, set_shard_timeout, set_shards, shards, shutdown_fleet, ShardedEval,
 };
-pub use frame::{crc32, read_frame, write_frame, FrameError, MAGIC, MAX_FRAME};
+pub use frame::{read_frame, write_frame, FrameError, MAGIC, MAX_FRAME};
 pub use proto::{ChaosDirective, ProtocolError, Request, Response};
 pub use registry::{is_registered, register_oracle, OracleFactory};
 pub use supervisor::{shardable, ShardConfig, ShardError, ShardPool, ShardStats, SHARD_CHUNK};

@@ -382,6 +382,7 @@ impl ShardPool {
                             // shard goes back to the queue front, and the
                             // worker is condemned.
                             drop(lease);
+                            self.note_redispatch(shard, slot_idx);
                             pending.push_front(shard);
                             self.condemn(&mut inner, slot_idx, "write", "request write failed");
                         }
@@ -562,25 +563,36 @@ impl ShardPool {
         // Chaos decision happens here, supervisor-side, so the injection
         // index is a deterministic function of dispatch order; the *effect*
         // is performed by the worker for real.
-        let mut chaos = None;
-        if faults::active() {
-            chaos = match faults::check(faults::Site::ShardDispatch) {
-                Some(k @ faults::FaultKind::ShardDeath) => Some((k, ChaosDirective::Die)),
-                Some(k @ faults::FaultKind::ShardGarbage) => Some((k, ChaosDirective::Garbage)),
-                Some(k @ faults::FaultKind::ShardHang) => Some((k, ChaosDirective::Hang)),
-                _ => None,
-            };
-        }
+        let fault = if faults::active() {
+            faults::check(faults::Site::ShardDispatch)
+        } else {
+            None
+        };
         let worker = inner.slots[slot_idx].worker.as_mut().expect("live");
         let mut payload = Vec::new();
-        if let Some((kind, directive)) = chaos {
+        if let Some(kind) = fault {
             tele::event(tele::Level::Warn, "fault.injected")
                 .field("site", faults::Site::ShardDispatch.as_str())
                 .field("kind", kind.as_str())
                 .emit();
-            Request::Chaos { directive }.encode(&mut payload);
-            if write_frame(&mut worker.stdin, &payload).is_err() {
-                return Err(());
+            let directive = match kind {
+                faults::FaultKind::ShardDeath => Some(ChaosDirective::Die),
+                faults::FaultKind::ShardGarbage => Some(ChaosDirective::Garbage),
+                faults::FaultKind::ShardHang => Some(ChaosDirective::Hang),
+                faults::FaultKind::ShardWriteFail => {
+                    // Reap the worker first: its stdin then has no reader,
+                    // so the request write below fails for real.
+                    let _ = worker.child.kill();
+                    let _ = worker.child.wait();
+                    None
+                }
+                _ => None,
+            };
+            if let Some(directive) = directive {
+                Request::Chaos { directive }.encode(&mut payload);
+                if write_frame(&mut worker.stdin, &payload).is_err() {
+                    return Err(());
+                }
             }
         }
         let xs: Vec<f64> = rows.iter().flat_map(|r| r.iter().copied()).collect();

@@ -28,6 +28,7 @@
 //! DESIGN.md §14).
 
 use nofis_circuit::OpampBench;
+use nofis_prob::checksum::fnv1a;
 
 /// A family of limit states `g_i(x) = raw(x) − threshold(i)` indexed by a
 /// finite set of corners, sharing one expensive raw metric.
@@ -99,17 +100,6 @@ pub trait CornerFamily: Send + Sync {
     /// Corner `i`'s failure threshold: corner `i` fails at `x` when
     /// `raw(x) − threshold(i) ≤ 0`.
     fn threshold(&self, corner: usize) -> f64;
-}
-
-/// FNV-1a over a byte string — the workspace's standard content hash,
-/// used here to derive stable [`CornerFamily::oracle_id`]s from the raw
-/// metric's name.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// A voltage × temperature corner grid over the op-amp gain bench

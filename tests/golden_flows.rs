@@ -11,7 +11,7 @@
 // so they pin the exact f64 bit pattern, not a rounded neighborhood.
 #![allow(clippy::excessive_precision)]
 
-use nofis::autograd::{CompiledStep, Graph, ParamStore, Tensor, Var};
+use nofis::autograd::{Graph, ParamStore, Tensor};
 use nofis::flows::RealNvp;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -191,119 +191,4 @@ fn fused_tape_reproduces_goldens_bitwise() {
         assert_eq!(a.to_bits(), b.to_bits(), "graph vs transform z[{i}]");
     }
     assert_eq!(ld_f.as_slice()[0].to_bits(), ld_plain.to_bits());
-}
-
-/// Builds a representative training tape over the golden flow for the
-/// given batch: forward transform, an external row-wise oracle, and a
-/// NOFIS-style scalar loss chain. Returns `(graph, z, logdet, loss)`.
-fn trace_step(store: &ParamStore, flow: &RealNvp, batch: &[f64]) -> (Graph, Var, Var, Var, Var) {
-    let mut g = Graph::new();
-    g.set_pruning(true);
-    let x = g.constant(Tensor::from_vec(batch.len() / 4, 4, batch.to_vec()));
-    let (z, logdet) = flow.forward_graph(store, &mut g, x, 6);
-    let gval = g.external_rowwise_par(z, nofis_parallel::global(), |row| {
-        (1.25 - row[0], vec![-1.0, 0.0, 0.0, 0.0])
-    });
-    let clipped = g.min_scalar(gval, 0.0);
-    let sq = g.square(clipped);
-    let sc = g.sum_cols(z);
-    let half = g.scale(sc, -0.5);
-    let tempered = g.add_scalar(gval, 3.0);
-    let a = g.add(half, tempered);
-    let b = g.add(a, clipped);
-    let m = g.mean_all(b);
-    let loss0 = g.neg(m);
-    let sq_m = g.mean_all(sq);
-    let ld_m = g.mean_all(logdet);
-    let t1 = g.add(loss0, sq_m);
-    let t2 = g.add(t1, ld_m);
-    let loss = g.tanh(t2);
-    (g, x, z, logdet, loss)
-}
-
-#[test]
-fn compiled_tape_replay_reproduces_goldens_bitwise() {
-    // The trace-once/replay engine must execute the exact same
-    // floating-point program as rebuilding the tape every step: same
-    // forward values (so the checked-in goldens stay valid with
-    // compilation on, the default), same parameter gradients bit for bit —
-    // on the traced batch and on fresh batches replayed into the
-    // preplanned buffers.
-    let (store, flow) = golden_flow();
-    let mut batch = X.to_vec();
-    batch.extend_from_slice(&X2);
-
-    let (mut g, x, z, logdet, loss) = trace_step(&store, &flow, &batch);
-    g.backward(loss);
-    let mut compiled = CompiledStep::compile(&g, loss, Some(x), &store);
-
-    // Goldens hold on the compiled values exactly as on the interpreted
-    // tape (the trace copies them verbatim; replay recomputes them).
-    for pass in 0..2 {
-        for (i, (got, want)) in compiled.value(z).as_slice()[..4]
-            .iter()
-            .zip(&GOLDEN_Z_X)
-            .enumerate()
-        {
-            assert_close(*got, *want, &format!("compiled z[{i}] of X, pass {pass}"));
-        }
-        assert_close(
-            compiled.value(logdet).as_slice()[0],
-            GOLDEN_LOGDET_X,
-            &format!("compiled logdet of X, pass {pass}"),
-        );
-        compiled.replay_forward(
-            &store,
-            |buf| buf.copy_from_slice(&batch),
-            nofis_parallel::global(),
-            |row| (1.25 - row[0], vec![-1.0, 0.0, 0.0, 0.0]),
-        );
-        compiled.backward();
-    }
-
-    // Replay on a *different* batch matches a freshly built interpreted
-    // tape on that batch, values and parameter gradients bitwise.
-    let batch2: Vec<f64> = batch.iter().map(|v| v * 0.7 - 0.11).collect();
-    compiled.replay_forward(
-        &store,
-        |buf| buf.copy_from_slice(&batch2),
-        nofis_parallel::global(),
-        |row| (1.25 - row[0], vec![-1.0, 0.0, 0.0, 0.0]),
-    );
-    compiled.backward();
-    let (mut g2, _, z2, ld2, loss2) = trace_step(&store, &flow, &batch2);
-    g2.backward(loss2);
-    for (what, a, b) in [
-        ("z", g2.value(z2), compiled.value(z)),
-        ("logdet", g2.value(ld2), compiled.value(logdet)),
-        ("loss", g2.value(loss2), compiled.value(loss)),
-    ] {
-        for (i, (x1, x2)) in a.as_slice().iter().zip(b.as_slice()).enumerate() {
-            assert_eq!(
-                x1.to_bits(),
-                x2.to_bits(),
-                "compiled {what}[{i}] drifted from interpreted"
-            );
-        }
-    }
-    let gi = g2.param_grads();
-    let gc = compiled.param_grads();
-    assert_eq!(gi.len(), gc.len(), "param grad count");
-    for ((id_i, ti), (id_c, tc)) in gi.iter().zip(&gc) {
-        assert_eq!(id_i, id_c, "param grad order");
-        for (i, (x1, x2)) in ti.as_slice().iter().zip(tc.as_slice()).enumerate() {
-            assert_eq!(
-                x1.to_bits(),
-                x2.to_bits(),
-                "compiled grad of {id_i:?}[{i}] drifted"
-            );
-        }
-    }
-    // Replays recycle the preplanned buffers: the backward scratch pool
-    // sees no steady-state misses.
-    let stats = compiled.pool_stats();
-    assert!(
-        stats.hits >= stats.misses,
-        "scratch pool should reach steady state: {stats:?}"
-    );
 }

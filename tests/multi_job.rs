@@ -124,75 +124,63 @@ fn co_tenant_jobs_match_their_solo_runs_bitwise() {
     assert_bitwise("tenant-b", &got_b, &solo_b);
 }
 
-/// Regression (PR 7): consecutive jobs on ONE worker with *different
-/// frozen-mask trajectories* must not leak `requires_grad` pruning state
-/// (or, with the compiled engine, a stale `CompiledStep` pruning plan)
-/// from one job into the next. A `freeze: true` job trains with earlier
-/// stages frozen; a `freeze: false` job (the NoFreeze ablation) never
-/// freezes anything — run back-to-back on the same worker, each must be
-/// bitwise-identical to its solo run, in both submission orders and with
-/// the compiled engine both on (default) and off.
+/// Regression: consecutive jobs on ONE worker with *different frozen-mask
+/// trajectories* must not leak `requires_grad` pruning state from one job
+/// into the next. A `freeze: true` job trains with earlier stages frozen;
+/// a `freeze: false` job (the NoFreeze ablation) never freezes anything —
+/// run back-to-back on the same worker, each must be bitwise-identical to
+/// its solo run, in both submission orders.
 #[test]
 fn consecutive_jobs_with_different_frozen_masks_do_not_leak_pruning_state() {
     let _g = serial();
-    for compile in [true, false] {
-        let frozen_cfg = NofisConfig {
-            compile_tape: compile,
-            ..tiny_config()
-        };
-        let nofreeze_cfg = NofisConfig {
-            freeze: false,
-            compile_tape: compile,
-            ..tiny_config()
-        };
-        let solo_frozen = solo(&frozen_cfg, 2.2, 31);
-        let solo_nofreeze = solo(&nofreeze_cfg, 2.2, 31);
+    let frozen_cfg = tiny_config();
+    let nofreeze_cfg = NofisConfig {
+        freeze: false,
+        ..tiny_config()
+    };
+    let solo_frozen = solo(&frozen_cfg, 2.2, 31);
+    let solo_nofreeze = solo(&nofreeze_cfg, 2.2, 31);
 
-        for order in [0, 1] {
-            let runner = JobRunner::new(RunnerConfig {
-                workers: 1, // same worker reuses its Graph/tape across jobs
-                queue_capacity: 4,
-            });
-            let specs = [
-                JobSpec::new(
-                    "frozen",
-                    frozen_cfg.clone(),
-                    Arc::new(HalfSpace { beta: 2.2 }),
-                    31,
-                ),
-                JobSpec::new(
-                    "nofreeze",
-                    nofreeze_cfg.clone(),
-                    Arc::new(HalfSpace { beta: 2.2 }),
-                    31,
-                ),
-            ];
-            let mut specs = Vec::from(specs);
-            if order == 1 {
-                specs.reverse();
-            }
-            let handles: Vec<_> = specs.into_iter().map(|s| runner.submit(s)).collect();
-            let results: Vec<_> = handles
-                .into_iter()
-                .map(|h| h.wait().expect("job should finish"))
-                .collect();
-            runner.shutdown(ShutdownMode::Drain);
-            let (got_frozen, got_nofreeze) = if order == 0 {
-                (&results[0], &results[1])
-            } else {
-                (&results[1], &results[0])
-            };
-            assert_bitwise(
-                &format!("frozen (compile={compile}, order={order})"),
-                got_frozen,
-                &solo_frozen,
-            );
-            assert_bitwise(
-                &format!("nofreeze (compile={compile}, order={order})"),
-                got_nofreeze,
-                &solo_nofreeze,
-            );
+    for order in [0, 1] {
+        let runner = JobRunner::new(RunnerConfig {
+            workers: 1, // same worker reuses its Graph/tape across jobs
+            queue_capacity: 4,
+        });
+        let specs = [
+            JobSpec::new(
+                "frozen",
+                frozen_cfg.clone(),
+                Arc::new(HalfSpace { beta: 2.2 }),
+                31,
+            ),
+            JobSpec::new(
+                "nofreeze",
+                nofreeze_cfg.clone(),
+                Arc::new(HalfSpace { beta: 2.2 }),
+                31,
+            ),
+        ];
+        let mut specs = Vec::from(specs);
+        if order == 1 {
+            specs.reverse();
         }
+        let handles: Vec<_> = specs.into_iter().map(|s| runner.submit(s)).collect();
+        let results: Vec<_> = handles
+            .into_iter()
+            .map(|h| h.wait().expect("job should finish"))
+            .collect();
+        runner.shutdown(ShutdownMode::Drain);
+        let (got_frozen, got_nofreeze) = if order == 0 {
+            (&results[0], &results[1])
+        } else {
+            (&results[1], &results[0])
+        };
+        assert_bitwise(&format!("frozen (order={order})"), got_frozen, &solo_frozen);
+        assert_bitwise(
+            &format!("nofreeze (order={order})"),
+            got_nofreeze,
+            &solo_nofreeze,
+        );
     }
 }
 

@@ -10,6 +10,8 @@
 //!   lease is refunded (the unspent remainder reclaimed), the re-dispatch
 //!   re-leases, and the final spend equals the sample count — never more
 //!   than `max_calls`.
+//! * A request write that fails is a re-dispatch in the counters, like a
+//!   death, and leaves the estimate and the spend exact.
 //! * Persistent spawn failure degrades with a typed error and a typed
 //!   in-process fallback that still produces the bitwise-identical
 //!   estimate — never a panic, never a hang.
@@ -154,6 +156,31 @@ fn main() {
         p.shutdown();
         println!("test kill_shard_at_dispatch_{i}_is_bitwise_identical ... ok");
     }
+
+    // A request write that fails — the worker's stdin already closed —
+    // sends the shard back to the queue: that is a re-dispatch, not a
+    // dispatch, and the estimate and the spend stay exact.
+    faults::install(FaultPlan::parse("shard_write_fail@0").expect("plan parses"));
+    let p = pool();
+    let budgeted = BudgetedOracle::new(&oracle, budget);
+    let exec = ShardedEval::new(Arc::clone(&p), Some(&budgeted as &dyn BudgetSource));
+    let result = estimate(Some(&exec as &dyn BatchEval), &budgeted);
+    faults::clear();
+    assert_bitwise("write failure at dispatch 0", &result, &golden);
+    assert_eq!(
+        p.stats().redispatched(),
+        1,
+        "a failed request write must count as one re-dispatch"
+    );
+    assert_eq!(
+        p.stats().dispatched(),
+        dispatches,
+        "a failed request write is not a dispatch"
+    );
+    assert_eq!(budgeted.spent(), budget, "the failed write's lease refunds");
+    assert_eq!(budgeted.overruns(), 0);
+    p.shutdown();
+    println!("test request_write_failure_counts_one_redispatch ... ok");
 
     // Persistent spawn failure: the pool degrades with a typed error...
     faults::install(FaultPlan::parse("shard_spawn_fail@0x1000").expect("plan parses"));
