@@ -50,7 +50,14 @@ impl RareEventEstimator for McEstimator {
     }
 
     fn estimate(&self, limit_state: &(dyn LimitState + Sync), rng: &mut dyn RngCore) -> f64 {
-        monte_carlo(&limit_state, 0.0, self.samples, rng).estimate()
+        monte_carlo(
+            &limit_state,
+            0.0,
+            self.samples,
+            rng,
+            nofis_parallel::global(),
+        )
+        .estimate()
     }
 }
 

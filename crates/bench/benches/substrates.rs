@@ -4,7 +4,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use nofis_parallel::ThreadPool;
-use nofis_prob::{batch_values_with, LimitState};
+use nofis_prob::{batch_values, LimitState};
 use nofis_testcases::registry::all_cases;
 
 fn bench_case_evaluations(c: &mut Criterion) {
@@ -32,7 +32,7 @@ fn bench_case_evaluations(c: &mut Criterion) {
 
 /// Serial vs. parallel chunked batch evaluation of each test-case oracle
 /// on a 512-sample batch — the shape of one pilot/IS evaluation pass.
-/// Both lanes go through `batch_values_with`, so the 1-thread number is
+/// Both lanes go through `batch_values`, so the 1-thread number is
 /// the true serial baseline for the same code path.
 fn bench_parallel_batch_eval(c: &mut Criterion) {
     let mut group = c.benchmark_group("oracle_batch_serial_vs_parallel");
@@ -50,10 +50,10 @@ fn bench_parallel_batch_eval(c: &mut Criterion) {
             })
             .collect();
         group.bench_with_input(BenchmarkId::new("serial", entry.name), &BATCH, |b, _| {
-            b.iter(|| black_box(batch_values_with(&*ls, &xs, &serial)))
+            b.iter(|| black_box(batch_values(&*ls, &xs, &serial)))
         });
         group.bench_with_input(BenchmarkId::new("parallel4", entry.name), &BATCH, |b, _| {
-            b.iter(|| black_box(batch_values_with(&*ls, &xs, &par4)))
+            b.iter(|| black_box(batch_values(&*ls, &xs, &par4)))
         });
     }
     group.finish();

@@ -14,9 +14,7 @@
 
 use nofis_autograd::Tensor;
 use nofis_parallel::ThreadPool;
-use nofis_prob::{
-    batch_values_with, importance_sampling_detailed_with_pool, LimitState, StandardGaussian,
-};
+use nofis_prob::{batch_values, importance_sampling, LimitState, StandardGaussian};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
@@ -195,14 +193,14 @@ fn main() {
         let xs: Vec<Vec<f64>> = (0..batch)
             .map(|i| lcg_fill(ls.dim(), 1000 + i as u64))
             .collect();
-        let ref_vals = batch_values_with(ls, &xs, &serial);
-        let par_vals = batch_values_with(ls, &xs, &par);
+        let ref_vals = batch_values(ls, &xs, &serial);
+        let par_vals = batch_values(ls, &xs, &par);
         let identical = bits_eq(&ref_vals, &par_vals);
         let t_serial = time_per_iter(|| {
-            std::hint::black_box(batch_values_with(ls, &xs, &serial));
+            std::hint::black_box(batch_values(ls, &xs, &serial));
         });
         let t_par = time_per_iter(|| {
-            std::hint::black_box(batch_values_with(ls, &xs, &par));
+            std::hint::black_box(batch_values(ls, &xs, &par));
         });
         let rec = OracleRecord {
             oracle: name.to_string(),
@@ -223,7 +221,7 @@ fn main() {
     let p = StandardGaussian::new(3);
     let run = |pool: &ThreadPool| {
         let mut rng = StdRng::seed_from_u64(20240607);
-        importance_sampling_detailed_with_pool(&Ring3, 0.0, &p, &p, 4000, &mut rng, pool)
+        importance_sampling(&Ring3, 0.0, &p, &p, 4000, &mut rng, pool)
             .0
             .estimate
     };

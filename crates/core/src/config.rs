@@ -126,17 +126,6 @@ pub struct NofisConfig {
     /// bitwise identical with metrics on or off — so this field is
     /// excluded from the checkpoint config fingerprint.
     pub metrics: nofis_metrics::MetricsSettings,
-    /// Worker-process count for sharded oracle evaluation (DESIGN.md §16).
-    /// `Some(n ≥ 1)` spawns `n` supervised child processes per registered
-    /// oracle (see [`nofis_shard::register_oracle`]) and shards the pilot
-    /// and estimation oracle batches across them; `Some(0)` or `None` (the
-    /// default) evaluates in-process. The `NOFIS_SHARDS` environment
-    /// variable overrides this field in [`Nofis::new`](crate::Nofis::new).
-    /// Sharding changes *where* oracle calls run, never *what* they
-    /// compute — estimates are bitwise identical at any shard count, even
-    /// across worker deaths — so, like [`NofisConfig::metrics`], this
-    /// field is excluded from the checkpoint config fingerprint.
-    pub shard: Option<usize>,
 }
 
 impl Default for NofisConfig {
@@ -164,7 +153,6 @@ impl Default for NofisConfig {
             telemetry: nofis_telemetry::Settings::default(),
             checkpoint: None,
             metrics: nofis_metrics::MetricsSettings::default(),
-            shard: None,
         }
     }
 }
@@ -328,21 +316,6 @@ impl NofisConfig {
             }
         }
         Ok(())
-    }
-
-    /// Applies [`NofisConfig::shard`] to the process-global shard fleet and
-    /// then the `NOFIS_SHARDS` / `NOFIS_SHARD_TIMEOUT_MS` environment
-    /// overrides on top (called by [`Nofis::new`](crate::Nofis::new); the
-    /// environment wins, matching every other `NOFIS_*` knob).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] when a set variable does not parse.
-    pub(crate) fn apply_shard_env(&self) -> Result<(), ConfigError> {
-        if let Some(n) = self.shard {
-            nofis_shard::set_shards(n);
-        }
-        nofis_shard::apply_env().map_err(ConfigError::new)
     }
 
     /// Upper bound on the simulator calls training consumes: `M·E·N` plus,

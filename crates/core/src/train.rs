@@ -5,11 +5,9 @@ use nofis_autograd::{Graph, ParamId, ParamStore, Tensor};
 use nofis_flows::RealNvp;
 use nofis_nn::{Adam, AdamState};
 use nofis_prob::{
-    batch_values_with_exec, importance_sampling_detailed_with_exec, monte_carlo_with_exec,
-    quantile, BatchEval, BudgetSource, BudgetedOracle, DefensiveMixture, FallbackRung, IsResult,
-    LimitState, Proposal, StandardGaussian, WeightDiagnostics, LN_2PI,
+    batch_values, importance_sampling, monte_carlo, quantile, BudgetedOracle, DefensiveMixture,
+    FallbackRung, IsResult, LimitState, Proposal, StandardGaussian, WeightDiagnostics, LN_2PI,
 };
-use nofis_shard::ShardedEval;
 use nofis_telemetry as tele;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng, StateRng};
@@ -119,12 +117,6 @@ impl Nofis {
     /// `/healthz` scrape server and a flight recorder (DESIGN.md §15).
     /// Metrics never influence results.
     ///
-    /// Sharded oracle execution from [`NofisConfig::shard`] (overridable —
-    /// and enableable — via `NOFIS_SHARDS`, with `NOFIS_SHARD_TIMEOUT_MS`
-    /// refining the per-request deadline) configures the process-global
-    /// worker fleet (DESIGN.md §16). Sharding never influences results:
-    /// estimates are bitwise identical at any shard count.
-    ///
     /// # Errors
     ///
     /// Returns [`ConfigError`] if the configuration is invalid, the
@@ -143,7 +135,6 @@ impl Nofis {
         tele::init(&config.telemetry).map_err(|e| ConfigError::new(e.to_string()))?;
         nofis_metrics::install(&config.metrics).map_err(|e| ConfigError::new(e.to_string()))?;
         nofis_faults::init_from_env().map_err(|e| ConfigError::new(e.to_string()))?;
-        config.apply_shard_env()?;
         if let Some(threads) = config.threads {
             nofis_parallel::set_thread_override(threads);
         }
@@ -381,13 +372,7 @@ impl Nofis {
                                     }
                                 })
                                 .collect();
-                            let exec = sharded_exec(oracle);
-                            let gvals = batch_values_with_exec(
-                                oracle,
-                                &xs,
-                                nofis_parallel::global(),
-                                as_batch_eval(&exec),
-                            );
+                            let gvals = batch_values(oracle, &xs, nofis_parallel::global());
                             // `quantile` skips NaN scores; if the proposal only
                             // produces NaN there is nothing to schedule against.
                             let mut q = quantile(&gvals, *p0);
@@ -1396,16 +1381,8 @@ impl TrainedNofis {
         if n == 0 {
             return accept_last(last);
         }
-        let exec = sharded_exec(oracle);
         let mc = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            monte_carlo_with_exec(
-                oracle,
-                0.0,
-                n,
-                rng,
-                nofis_parallel::global(),
-                as_batch_eval(&exec),
-            )
+            monte_carlo(oracle, 0.0, n, rng, nofis_parallel::global())
         })) {
             Ok(mc) => mc,
             Err(_) => {
@@ -1462,24 +1439,6 @@ fn accept_last(
     }
 }
 
-/// The shared shard pool serving this oracle, wrapped for the estimators'
-/// external-executor seam (DESIGN.md §16). Leases are taken against
-/// `oracle` itself, so sharded evaluation charges exactly the meter the
-/// in-process calls would. `None` — fleet off, oracle unregistered, or
-/// pool degraded — always means "evaluate in-process".
-fn sharded_exec<'a, L: LimitState + ?Sized + Sync>(
-    oracle: &'a BudgetedOracle<'_, L>,
-) -> Option<ShardedEval<'a>> {
-    nofis_shard::pool_for(oracle.name())
-        .map(|pool| ShardedEval::new(pool, Some(oracle as &dyn BudgetSource)))
-}
-
-/// Borrows an optional [`ShardedEval`] as the `Option<&dyn BatchEval>` the
-/// estimator entry points take.
-fn as_batch_eval<'a>(exec: &'a Option<ShardedEval<'a>>) -> Option<&'a dyn BatchEval> {
-    exec.as_ref().map(|e| e as &dyn BatchEval)
-}
-
 /// Runs one ladder rung within the budget: `None` when not even one sample
 /// is affordable, otherwise the tagged result plus diagnostics over the
 /// finite log-weights.
@@ -1503,18 +1462,8 @@ fn run_rung<L: LimitState + ?Sized + Sync, Q: Proposal + ?Sized + Sync>(
     // A worker-thread panic during the pooled batch evaluation is contained
     // here and surfaces as an unhealthy rung, so the ladder descends to a
     // less demanding proposal instead of taking the whole estimate down.
-    let exec = sharded_exec(oracle);
     let eval = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        importance_sampling_detailed_with_exec(
-            oracle,
-            0.0,
-            proposal,
-            p,
-            n,
-            rng,
-            nofis_parallel::global(),
-            as_batch_eval(&exec),
-        )
+        importance_sampling(oracle, 0.0, proposal, p, n, rng, nofis_parallel::global())
     }));
     let (result, log_weights) = match eval {
         Ok(v) => v,

@@ -56,8 +56,7 @@ pub enum Site {
     /// One simulator evaluation (`value` / `value_grad`) through the
     /// budgeted oracle wrapper.
     OracleCall,
-    /// One budget planning call (`grant` / `reserve`) on the budgeted
-    /// oracle.
+    /// One budget planning call (`grant`) on the budgeted oracle.
     BudgetGrant,
     /// One chunk claimed by a *helper* thread inside the parallel pool
     /// (the caller's lane is never targeted, so the panic always crosses
@@ -71,17 +70,10 @@ pub enum Site {
     /// One job execution attempt starting on a scheduler worker (visited
     /// once per attempt, so retries re-visit the site).
     JobStart,
-    /// One shard-worker process spawn attempt in the `nofis-shard`
-    /// supervisor (visited per spawn, so respawns re-visit the site).
-    ShardSpawn,
-    /// One shard dispatched to a worker process by the `nofis-shard`
-    /// supervisor (visited per dispatch, on the supervisor side, so the
-    /// injection index is deterministic regardless of worker scheduling).
-    ShardDispatch,
 }
 
 impl Site {
-    const COUNT: usize = 8;
+    const COUNT: usize = 6;
 
     fn index(self) -> usize {
         match self {
@@ -91,8 +83,6 @@ impl Site {
             Site::CkptWrite => 3,
             Site::JobSubmit => 4,
             Site::JobStart => 5,
-            Site::ShardSpawn => 6,
-            Site::ShardDispatch => 7,
         }
     }
 
@@ -105,8 +95,6 @@ impl Site {
             Site::CkptWrite => "ckpt_write",
             Site::JobSubmit => "job_submit",
             Site::JobStart => "job_start",
-            Site::ShardSpawn => "shard_spawn",
-            Site::ShardDispatch => "shard_dispatch",
         }
     }
 }
@@ -120,7 +108,7 @@ pub enum FaultKind {
     OracleInf,
     /// The simulator panics mid-call.
     OraclePanic,
-    /// The call budget is forced to exhaustion at a `grant`/`reserve`.
+    /// The call budget is forced to exhaustion at a `grant`.
     BudgetExhaust,
     /// A pool helper thread panics while holding a claimed chunk.
     WorkerPanic,
@@ -138,22 +126,6 @@ pub enum FaultKind {
     /// Job admission is forced to see a full queue, exercising the
     /// load-shedding path.
     QueueOverflow,
-    /// A shard-worker process fails to spawn (exec error), exercising the
-    /// respawn/backoff and in-process degradation ladder.
-    ShardSpawnFail,
-    /// A shard worker dies mid-shard: the supervisor directs the worker to
-    /// exit instead of answering, losing the dispatched shard.
-    ShardDeath,
-    /// A shard worker writes garbage bytes on its stdout instead of a valid
-    /// frame, exercising CRC/framing detection and the kill-respawn path.
-    ShardGarbage,
-    /// A shard worker wedges (never answers), exercising the per-request
-    /// wall-clock timeout.
-    ShardHang,
-    /// The supervisor's request write to a shard worker fails: the worker
-    /// is killed and reaped just before the write, so the write meets a
-    /// closed pipe and the shard goes back to the queue undispatched.
-    ShardWriteFail,
 }
 
 impl FaultKind {
@@ -169,55 +141,48 @@ impl FaultKind {
             FaultKind::CkptWriteFail => Site::CkptWrite,
             FaultKind::QueueOverflow => Site::JobSubmit,
             FaultKind::JobPanic | FaultKind::DeadlineStorm => Site::JobStart,
-            FaultKind::ShardSpawnFail => Site::ShardSpawn,
-            FaultKind::ShardDeath
-            | FaultKind::ShardGarbage
-            | FaultKind::ShardHang
-            | FaultKind::ShardWriteFail => Site::ShardDispatch,
         }
     }
 
     /// Stable machine-readable name — also the grammar keyword.
     pub fn as_str(self) -> &'static str {
-        match self {
-            FaultKind::OracleNan => "oracle_nan",
-            FaultKind::OracleInf => "oracle_inf",
-            FaultKind::OraclePanic => "oracle_panic",
-            FaultKind::BudgetExhaust => "budget_exhaust",
-            FaultKind::WorkerPanic => "worker_panic",
-            FaultKind::CkptWriteFail => "ckpt_fail",
-            FaultKind::Kill => "kill",
-            FaultKind::JobPanic => "job_panic",
-            FaultKind::DeadlineStorm => "deadline_storm",
-            FaultKind::QueueOverflow => "queue_overflow",
-            FaultKind::ShardSpawnFail => "shard_spawn_fail",
-            FaultKind::ShardDeath => "shard_death",
-            FaultKind::ShardGarbage => "shard_garbage",
-            FaultKind::ShardHang => "shard_hang",
-            FaultKind::ShardWriteFail => "shard_write_fail",
-        }
+        KEYWORDS
+            .iter()
+            .find(|(kind, _)| *kind == self)
+            .map(|(_, keyword)| *keyword)
+            .expect("every fault kind has a keyword")
     }
 
     fn parse(s: &str) -> Option<FaultKind> {
-        Some(match s {
-            "oracle_nan" => FaultKind::OracleNan,
-            "oracle_inf" => FaultKind::OracleInf,
-            "oracle_panic" => FaultKind::OraclePanic,
-            "budget_exhaust" => FaultKind::BudgetExhaust,
-            "worker_panic" => FaultKind::WorkerPanic,
-            "ckpt_fail" => FaultKind::CkptWriteFail,
-            "kill" => FaultKind::Kill,
-            "job_panic" => FaultKind::JobPanic,
-            "deadline_storm" => FaultKind::DeadlineStorm,
-            "queue_overflow" => FaultKind::QueueOverflow,
-            "shard_spawn_fail" => FaultKind::ShardSpawnFail,
-            "shard_death" => FaultKind::ShardDeath,
-            "shard_garbage" => FaultKind::ShardGarbage,
-            "shard_hang" => FaultKind::ShardHang,
-            "shard_write_fail" => FaultKind::ShardWriteFail,
-            _ => return None,
-        })
+        KEYWORDS
+            .iter()
+            .find(|(_, keyword)| *keyword == s)
+            .map(|(kind, _)| *kind)
     }
+}
+
+/// Every [`FaultKind`] with its grammar keyword: the one table behind
+/// [`FaultKind::as_str`], plan parsing and the unknown-kind error message.
+const KEYWORDS: [(FaultKind, &str); 10] = [
+    (FaultKind::OracleNan, "oracle_nan"),
+    (FaultKind::OracleInf, "oracle_inf"),
+    (FaultKind::OraclePanic, "oracle_panic"),
+    (FaultKind::BudgetExhaust, "budget_exhaust"),
+    (FaultKind::WorkerPanic, "worker_panic"),
+    (FaultKind::CkptWriteFail, "ckpt_fail"),
+    (FaultKind::Kill, "kill"),
+    (FaultKind::JobPanic, "job_panic"),
+    (FaultKind::DeadlineStorm, "deadline_storm"),
+    (FaultKind::QueueOverflow, "queue_overflow"),
+];
+
+/// The error for a plan entry naming no known [`FaultKind`].
+fn unknown_kind(name: &str) -> FaultPlanError {
+    let known: Vec<&str> = KEYWORDS.iter().map(|(_, keyword)| *keyword).collect();
+    plan_err(format!(
+        "unknown fault kind {name:?} (expected one of {})",
+        known.join(", ")
+    ))
 }
 
 impl fmt::Display for FaultKind {
@@ -304,15 +269,8 @@ impl FaultPlan {
             let (kind_str, rest) = entry
                 .split_once('@')
                 .ok_or_else(|| plan_err(format!("entry {entry:?} is missing '@index'")))?;
-            let kind = FaultKind::parse(kind_str.trim()).ok_or_else(|| {
-                plan_err(format!(
-                    "unknown fault kind {:?} (expected one of oracle_nan, oracle_inf, \
-                     oracle_panic, budget_exhaust, worker_panic, ckpt_fail, kill, \
-                     job_panic, deadline_storm, queue_overflow, shard_spawn_fail, \
-                     shard_death, shard_garbage, shard_hang)",
-                    kind_str.trim()
-                ))
-            })?;
+            let kind_str = kind_str.trim();
+            let kind = FaultKind::parse(kind_str).ok_or_else(|| unknown_kind(kind_str))?;
             let (at_str, count_str) = match rest.split_once('x') {
                 Some((a, c)) => (a, Some(c)),
                 None => (rest, None),
@@ -521,6 +479,7 @@ mod tests {
 
     #[test]
     fn kinds_map_to_their_sites() {
+        let unknown = FaultPlan::parse("warp_core@3").unwrap_err().to_string();
         for (kind, site) in [
             (FaultKind::OracleNan, Site::OracleCall),
             (FaultKind::OracleInf, Site::OracleCall),
@@ -532,15 +491,12 @@ mod tests {
             (FaultKind::JobPanic, Site::JobStart),
             (FaultKind::DeadlineStorm, Site::JobStart),
             (FaultKind::QueueOverflow, Site::JobSubmit),
-            (FaultKind::ShardSpawnFail, Site::ShardSpawn),
-            (FaultKind::ShardDeath, Site::ShardDispatch),
-            (FaultKind::ShardGarbage, Site::ShardDispatch),
-            (FaultKind::ShardHang, Site::ShardDispatch),
-            (FaultKind::ShardWriteFail, Site::ShardDispatch),
         ] {
             assert_eq!(kind.site(), site);
             // Every kind's keyword parses back to itself.
             assert_eq!(FaultKind::parse(kind.as_str()), Some(kind));
+            // ...and the unknown-kind error lists it.
+            assert!(unknown.contains(kind.as_str()), "{unknown}");
         }
     }
 }

@@ -53,12 +53,11 @@ fn handle(mut stream: TcpStream, agg: &Aggregator) -> std::io::Result<()> {
             let h = agg.health(nofis_telemetry::now_us());
             let status = if h.healthy { 200 } else { 503 };
             let body = format!(
-                "{{\"healthy\":{},\"workers_alive\":{},\"queue_depth\":{},\"jobs_active\":{},\"shard_inflight\":{},\"last_event_us\":{}}}\n",
+                "{{\"healthy\":{},\"workers_alive\":{},\"queue_depth\":{},\"jobs_active\":{},\"last_event_us\":{}}}\n",
                 h.healthy,
                 h.workers_alive,
                 h.queue_depth,
                 h.jobs_active,
-                h.shard_inflight,
                 h.last_event_us
             );
             respond(&mut stream, status, "application/json", &body)

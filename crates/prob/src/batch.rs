@@ -7,15 +7,8 @@
 //! [`ThreadPool`](nofis_parallel::ThreadPool), and reassembles results in
 //! chunk order — so the output `Vec` is bitwise identical to a serial
 //! sample-by-sample loop for any thread count.
-//!
-//! For budget-metered oracles, [`batch_values_budgeted`] reserves each
-//! chunk's calls up front on the calling thread (in chunk order, via
-//! [`BudgetedOracle::reserve`]) before any worker runs, so the set of
-//! evaluated samples is a deterministic prefix of the batch and the call
-//! count is exact: never an overrun, even when `max_calls` is not divisible
-//! by the chunk size.
 
-use crate::{BudgetedOracle, LimitState};
+use crate::LimitState;
 use nofis_parallel::chunks::{chunk_count, chunk_range};
 use nofis_parallel::ThreadPool;
 
@@ -23,37 +16,16 @@ use nofis_parallel::ThreadPool;
 /// function of the batch size only — the determinism contract's first rule.
 pub const ORACLE_CHUNK: usize = 32;
 
-/// An external batch-evaluation executor — the seam through which the
-/// sharded worker-process pool (crate `nofis-shard`) plugs into the
-/// estimators without this crate depending on it.
-///
-/// Implementors evaluate `g(x)` for a whole batch *somewhere else* (worker
-/// processes, a remote simulator farm) and return the values in sample
-/// order. The contract that keeps results bitwise-identical to the
-/// in-process path: each returned value must be exactly what
-/// `limit_state.value(&xs[i])` would produce, and the executor handles its
-/// own budget/accounting (e.g. via [`BudgetSource`](crate::BudgetSource)
-/// leases). Returning `None` means the executor cannot serve this batch —
-/// degraded, budget-short, or unavailable — and the caller falls back to
-/// the in-process path.
-pub trait BatchEval: Sync {
-    /// Attempts to evaluate the whole batch externally; `None` → caller
-    /// falls back in-process.
-    fn try_eval(&self, xs: &[Vec<f64>]) -> Option<Vec<f64>>;
-}
-
-/// Evaluates `g(x)` for every sample in `xs` on the process-wide
-/// [`nofis_parallel::global`] pool, returning values in sample order.
+/// Evaluates `g(x)` for every sample in `xs` on `pool` (callers normally
+/// pass [`nofis_parallel::global`]), returning values in sample order.
 ///
 /// Every sample costs exactly one oracle call, the same as a serial loop;
-/// wrappers like [`CountingOracle`](crate::CountingOracle) count correctly
-/// because their counters are atomic.
-pub fn batch_values(limit_state: &(impl LimitState + ?Sized + Sync), xs: &[Vec<f64>]) -> Vec<f64> {
-    batch_values_with(limit_state, xs, nofis_parallel::global())
-}
-
-/// [`batch_values`] on an explicit pool.
-pub fn batch_values_with(
+/// wrappers like [`CountingOracle`](crate::CountingOracle) and
+/// [`BudgetedOracle`](crate::BudgetedOracle) count correctly because their
+/// counters are atomic. Plan the batch with
+/// [`BudgetedOracle::grant`](crate::BudgetedOracle::grant) first to keep a
+/// budgeted run exact.
+pub fn batch_values(
     limit_state: &(impl LimitState + ?Sized + Sync),
     xs: &[Vec<f64>],
     pool: &ThreadPool,
@@ -64,61 +36,6 @@ pub fn batch_values_with(
         xs[start..end]
             .iter()
             .map(|x| limit_state.value(x))
-            .collect()
-    });
-    per_chunk.into_iter().flatten().collect()
-}
-
-/// [`batch_values_with`] with an optional external executor.
-///
-/// When `exec` is present and serves the batch, the returned values come
-/// from the executor (bitwise-identical by the [`BatchEval`] contract, with
-/// accounting done executor-side); otherwise this is exactly
-/// [`batch_values_with`].
-pub fn batch_values_with_exec(
-    limit_state: &(impl LimitState + ?Sized + Sync),
-    xs: &[Vec<f64>],
-    pool: &ThreadPool,
-    exec: Option<&dyn BatchEval>,
-) -> Vec<f64> {
-    if let Some(vals) = exec.and_then(|e| e.try_eval(xs)) {
-        return vals;
-    }
-    batch_values_with(limit_state, xs, pool)
-}
-
-/// Budget-exact parallel batch evaluation.
-///
-/// Reserves each chunk's calls up front — in chunk order, on the calling
-/// thread — so the evaluated samples are always the longest affordable
-/// *prefix* of `xs`, regardless of scheduling. Returns that prefix's values
-/// (`result.len() <= xs.len()`, shorter exactly when the budget ran out).
-/// The oracle's `used` count increases by exactly `result.len()` and never
-/// exceeds the budget.
-pub fn batch_values_budgeted<T: LimitState + ?Sized + Sync>(
-    budgeted: &BudgetedOracle<'_, T>,
-    xs: &[Vec<f64>],
-    pool: &ThreadPool,
-) -> Vec<f64> {
-    let n = xs.len();
-    let n_chunks = chunk_count(n, ORACLE_CHUNK);
-    // Serial, chunk-ordered reservation: under a tight budget the granted
-    // counts form a deterministic prefix (full chunks, then one partial,
-    // then zeros) no matter how many threads later run the evaluation.
-    // Each chunk's lease is committed (spent) at dispatch time — the
-    // workers are in-process and will evaluate every granted sample, so
-    // there is no unspent remainder to reclaim on this path.
-    let granted: Vec<usize> = (0..n_chunks)
-        .map(|ci| {
-            let (start, end) = chunk_range(n, ORACLE_CHUNK, ci);
-            budgeted.lease(end - start).spend_all()
-        })
-        .collect();
-    let per_chunk: Vec<Vec<f64>> = pool.map_chunks(n_chunks, |ci| {
-        let (start, _) = chunk_range(n, ORACLE_CHUNK, ci);
-        xs[start..start + granted[ci]]
-            .iter()
-            .map(|x| budgeted.value_prepaid(x))
             .collect()
     });
     per_chunk.into_iter().flatten().collect()
@@ -151,7 +68,7 @@ mod tests {
         let serial: Vec<f64> = xs.iter().map(|x| Norm2.value(x)).collect();
         for threads in [1, 2, 8] {
             let pool = ThreadPool::new(threads);
-            let par = batch_values_with(&Norm2, &xs, &pool);
+            let par = batch_values(&Norm2, &xs, &pool);
             assert_eq!(par.len(), serial.len());
             for (a, b) in par.iter().zip(&serial) {
                 assert_eq!(a.to_bits(), b.to_bits(), "threads={threads}");
@@ -164,46 +81,15 @@ mod tests {
         let xs = samples(77);
         let counting = CountingOracle::new(&Norm2);
         let pool = ThreadPool::new(4);
-        let vals = batch_values_with(&counting, &xs, &pool);
+        let vals = batch_values(&counting, &xs, &pool);
         assert_eq!(vals.len(), 77);
         assert_eq!(counting.calls(), 77);
     }
 
     #[test]
-    fn budgeted_batch_evaluates_exact_prefix() {
-        let xs = samples(100);
-        let counting = CountingOracle::new(&Norm2);
-        let budgeted = BudgetedOracle::new(&counting, 45); // not divisible by 32
-        let pool = ThreadPool::new(4);
-        let vals = batch_values_budgeted(&budgeted, &xs, &pool);
-        assert_eq!(vals.len(), 45);
-        assert_eq!(budgeted.used(), 45);
-        assert_eq!(budgeted.overruns(), 0);
-        assert_eq!(counting.calls(), 45);
-        // The prefix is the same one a serial loop would evaluate.
-        for (i, v) in vals.iter().enumerate() {
-            assert_eq!(v.to_bits(), Norm2.value(&xs[i]).to_bits());
-        }
-        // A second batch finds the budget exhausted.
-        assert!(batch_values_budgeted(&budgeted, &xs, &pool).is_empty());
-    }
-
-    #[test]
-    fn budgeted_batch_with_ample_budget_covers_all() {
-        let xs = samples(64);
-        let budgeted = BudgetedOracle::new(&Norm2, 1000);
-        let pool = ThreadPool::new(2);
-        let vals = batch_values_budgeted(&budgeted, &xs, &pool);
-        assert_eq!(vals.len(), 64);
-        assert_eq!(budgeted.remaining(), 1000 - 64);
-    }
-
-    #[test]
     fn empty_batch_is_free() {
-        let budgeted = BudgetedOracle::new(&Norm2, 10);
-        let pool = ThreadPool::new(2);
-        assert!(batch_values_budgeted(&budgeted, &[], &pool).is_empty());
-        assert_eq!(budgeted.used(), 0);
-        assert!(batch_values(&Norm2, &[]).is_empty());
+        let counting = CountingOracle::new(&Norm2);
+        assert!(batch_values(&counting, &[], &ThreadPool::new(2)).is_empty());
+        assert_eq!(counting.calls(), 0);
     }
 }

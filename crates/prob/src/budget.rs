@@ -41,166 +41,32 @@ fn budget_fault(used: &AtomicU64, budget: u64) {
     }
 }
 
-/// Emits budget-spend telemetry for a planned/reserved chunk: a
-/// per-grant trace record, plus a debug-level truncation event whenever
-/// the affordable count fell short of the request (the moment a run
-/// starts degrading). Purely observational — never affects the grant.
-fn record_grant(op: &'static str, want: usize, granted: usize, used: u64, budget: u64) {
+/// Emits budget-spend telemetry for a planned chunk: a per-grant trace
+/// record, plus a debug-level truncation event whenever the affordable
+/// count fell short of the request (the moment a run starts degrading).
+/// Purely observational — never affects the grant.
+fn record_grant(want: usize, granted: usize, used: u64, budget: u64) {
     let remaining = budget.saturating_sub(used);
     if tele::enabled(tele::Level::Trace) {
         tele::event(tele::Level::Trace, "budget.grant")
-            .field("op", op)
             .field("want", want)
             .field("granted", granted)
             .field("used", used)
             .field("budget", budget)
             .emit();
-        // Headroom gauge at every grant/reserve site: dashboards and the
-        // sweep report watch this to see a run approach its budget wall
-        // without re-deriving it from grant arithmetic.
+        // Headroom gauge at every grant: dashboards and the sweep report
+        // watch this to see a run approach its budget wall without
+        // re-deriving it from grant arithmetic.
         tele::gauge(tele::Level::Trace, "budget.remaining", remaining as f64).emit();
     }
     if granted < want && tele::enabled(tele::Level::Debug) {
         tele::event(tele::Level::Debug, "budget.truncated")
-            .field("op", op)
             .field("want", want)
             .field("granted", granted)
             .field("remaining", remaining)
             .emit();
         tele::gauge(tele::Level::Debug, "budget.remaining", remaining as f64).emit();
     }
-}
-
-/// Emits the release-side twin of [`record_grant`]: a trace record when a
-/// lease returns unspent calls to the meter (worker death, early exit), so
-/// chaos traces can reconcile every pre-charged call with either a spend or
-/// a reclamation. Purely observational.
-fn record_release(released: u64, used: u64, budget: u64) {
-    if released > 0 && tele::enabled(tele::Level::Trace) {
-        tele::event(tele::Level::Trace, "budget.release")
-            .field("released", released)
-            .field("used", used)
-            .field("budget", budget)
-            .emit();
-        tele::gauge(
-            tele::Level::Trace,
-            "budget.remaining",
-            budget.saturating_sub(used) as f64,
-        )
-        .emit();
-    }
-}
-
-/// A pre-charged reservation of simulator calls, taken from a
-/// [`BudgetedOracle`] via [`BudgetedOracle::lease`] (or any
-/// [`BudgetSource`]).
-///
-/// The lease owns `granted` calls that have already been charged to the
-/// meter — concurrent lease-holders can never jointly overrun the budget.
-/// The holder commits consumption with [`Lease::spend`] /
-/// [`Lease::spend_all`] as evaluations actually complete; whatever was
-/// granted but never spent flows back to the meter, either explicitly via
-/// [`Lease::release_unspent`] or automatically on drop. That drop guarantee
-/// is the crash-safety contract the sharded executor leans on: when a
-/// worker process dies mid-shard, dropping its lease reclaims the unspent
-/// remainder, so the re-dispatched shard can lease the calls again and
-/// `max_calls` is still never exceeded.
-///
-/// # Example
-///
-/// ```
-/// use nofis_prob::{BudgetSource, BudgetedOracle, LimitState};
-///
-/// struct Line;
-/// impl LimitState for Line {
-///     fn dim(&self) -> usize { 1 }
-///     fn value(&self, x: &[f64]) -> f64 { x[0] }
-/// }
-///
-/// let b = BudgetedOracle::new(&Line, 10);
-/// let mut lease = b.lease(6);
-/// assert_eq!(lease.granted(), 6);
-/// assert_eq!(b.remaining(), 4); // pre-charged
-/// lease.spend(2);               // two evaluations completed
-/// assert_eq!(lease.release_unspent(), 4);
-/// assert_eq!(b.used(), 2);      // only the spent calls stay charged
-/// ```
-#[derive(Debug)]
-pub struct Lease<'a> {
-    meter: &'a AtomicU64,
-    budget: u64,
-    granted: u64,
-    spent: u64,
-}
-
-impl Lease<'_> {
-    /// Calls this lease reserved (already charged to the meter).
-    pub fn granted(&self) -> usize {
-        self.granted as usize
-    }
-
-    /// Calls committed so far via [`Lease::spend`] / [`Lease::spend_all`].
-    pub fn spent(&self) -> usize {
-        self.spent as usize
-    }
-
-    /// Granted calls not yet committed (what drop would reclaim).
-    pub fn unspent(&self) -> usize {
-        (self.granted - self.spent) as usize
-    }
-
-    /// Commits up to `n` of the remaining granted calls as consumed and
-    /// returns how many were actually committed (saturates at the grant —
-    /// a lease can never retroactively spend more than it reserved).
-    pub fn spend(&mut self, n: usize) -> usize {
-        let take = (n as u64).min(self.granted - self.spent);
-        self.spent += take;
-        take as usize
-    }
-
-    /// Commits every remaining granted call; returns how many that was.
-    pub fn spend_all(&mut self) -> usize {
-        self.spend(usize::MAX)
-    }
-
-    /// Explicitly returns the unspent remainder to the meter and consumes
-    /// the lease, returning how many calls were reclaimed. Equivalent to
-    /// dropping the lease, but the count makes accounting assertions (and
-    /// reclamation telemetry at the call site) direct.
-    pub fn release_unspent(mut self) -> usize {
-        let released = self.granted - self.spent;
-        self.refund();
-        released as usize
-    }
-
-    /// Returns `granted - spent` to the meter (at most once — callers zero
-    /// the delta). Only ever subtracts what [`BudgetedOracle::lease`] added,
-    /// so the meter cannot underflow.
-    fn refund(&mut self) {
-        let unspent = self.granted - self.spent;
-        if unspent > 0 {
-            self.granted = self.spent;
-            let now_used = self.meter.fetch_sub(unspent, Ordering::Relaxed) - unspent;
-            record_release(unspent, now_used, self.budget);
-        }
-    }
-}
-
-impl Drop for Lease<'_> {
-    fn drop(&mut self) {
-        self.refund();
-    }
-}
-
-/// Object-safe source of budget [`Lease`]s.
-///
-/// The sharded executor holds a `&dyn BudgetSource` so it can meter
-/// cross-process work against any budget implementation without generics;
-/// [`BudgetedOracle`] is the canonical implementor.
-pub trait BudgetSource: Sync {
-    /// Atomically pre-charges up to `want` calls and returns the lease
-    /// (possibly empty when the budget is exhausted).
-    fn lease(&self, want: usize) -> Lease<'_>;
 }
 
 /// A [`LimitState`] wrapper enforcing a hard simulator-call budget.
@@ -302,71 +168,8 @@ impl<'a, T: LimitState + ?Sized> BudgetedOracle<'a, T> {
     pub fn grant(&self, want: usize) -> usize {
         budget_fault(&self.used, self.budget);
         let granted = (want as u64).min(self.remaining()) as usize;
-        record_grant("grant", want, granted, self.used(), self.budget);
+        record_grant(want, granted, self.used(), self.budget);
         granted
-    }
-
-    /// Atomically reserves up to `want` calls, *consuming* them from the
-    /// budget immediately, and returns how many were actually granted.
-    ///
-    /// Unlike [`BudgetedOracle::grant`] — which only inspects the remaining
-    /// budget and relies on a single consumer spending it afterwards —
-    /// `reserve` pre-charges `used`, so concurrent reservations can never
-    /// jointly exceed the budget. Parallel batch evaluation (see
-    /// [`batch_values_budgeted`](crate::batch_values_budgeted)) reserves
-    /// each chunk up front and then spends the reserved calls with
-    /// [`BudgetedOracle::value_prepaid`].
-    pub fn reserve(&self, want: usize) -> usize {
-        budget_fault(&self.used, self.budget);
-        let (granted, used_after) = self.charge(want as u64);
-        record_grant("reserve", want, granted as usize, used_after, self.budget);
-        granted as usize
-    }
-
-    /// Takes a typed [`Lease`] of up to `want` calls, pre-charging them
-    /// atomically like [`BudgetedOracle::reserve`] but returning a handle
-    /// that tracks commitment: spend what completes, and the unspent
-    /// remainder flows back to the meter on release or drop. This is the
-    /// reservation API call sites should prefer — it makes "reserved but
-    /// never evaluated" impossible to leak.
-    pub fn lease(&self, want: usize) -> Lease<'_> {
-        budget_fault(&self.used, self.budget);
-        let (granted, used_after) = self.charge(want as u64);
-        record_grant("lease", want, granted as usize, used_after, self.budget);
-        Lease {
-            meter: &self.used,
-            budget: self.budget,
-            granted,
-            spent: 0,
-        }
-    }
-
-    /// The CAS pre-charge loop shared by [`BudgetedOracle::reserve`] and
-    /// [`BudgetedOracle::lease`]: consumes up to `want` calls from the
-    /// remaining budget and returns `(granted, used_after)`.
-    fn charge(&self, want: u64) -> (u64, u64) {
-        let mut cur = self.used.load(Ordering::Relaxed);
-        loop {
-            let granted = want.min(self.budget.saturating_sub(cur));
-            if granted == 0 {
-                return (0, cur);
-            }
-            match self.used.compare_exchange(
-                cur,
-                cur + granted,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return (granted, cur + granted),
-                Err(actual) => cur = actual,
-            }
-        }
-    }
-
-    /// Evaluates the wrapped limit state without charging the budget; the
-    /// call must have been paid for via [`BudgetedOracle::reserve`].
-    pub(crate) fn value_prepaid(&self, x: &[f64]) -> f64 {
-        self.eval_value(x)
     }
 
     /// Decides the injected fault (if any) for one oracle evaluation and
@@ -454,12 +257,6 @@ impl<'a, T: LimitState + ?Sized> BudgetedOracle<'a, T> {
     /// Borrows the wrapped limit state without counting.
     pub fn inner(&self) -> &'a T {
         self.inner
-    }
-}
-
-impl<T: LimitState + ?Sized + Sync> BudgetSource for BudgetedOracle<'_, T> {
-    fn lease(&self, want: usize) -> Lease<'_> {
-        BudgetedOracle::lease(self, want)
     }
 }
 
@@ -601,77 +398,6 @@ mod tests {
         assert_eq!(b.remaining(), 4);
         assert_eq!(b.grant(10), 4);
         assert_eq!(b.spent(), 1, "grant plans; spent reads");
-    }
-
-    #[test]
-    fn lease_precharges_and_commits() {
-        let b = BudgetedOracle::new(&Linear, 10);
-        let mut lease = b.lease(6);
-        assert_eq!(lease.granted(), 6);
-        assert_eq!(lease.spent(), 0);
-        assert_eq!(lease.unspent(), 6);
-        // Pre-charged: a concurrent consumer sees only the remainder.
-        assert_eq!(b.remaining(), 4);
-        assert_eq!(lease.spend(4), 4);
-        // Spending past the grant saturates instead of overrunning.
-        assert_eq!(lease.spend(100), 2);
-        assert_eq!(lease.release_unspent(), 0);
-        assert_eq!(b.used(), 6);
-        assert_eq!(b.overruns(), 0);
-    }
-
-    #[test]
-    fn lease_truncates_at_the_budget_wall() {
-        let b = BudgetedOracle::new(&Linear, 5);
-        let mut a = b.lease(3);
-        let c = b.lease(100);
-        assert_eq!(c.granted(), 2, "only the remainder is leasable");
-        let empty = b.lease(1);
-        assert_eq!(empty.granted(), 0);
-        a.spend_all();
-        drop(a);
-        drop(c); // unspent grant of 2 flows back
-        assert_eq!(b.used(), 3);
-        assert_eq!(b.remaining(), 2);
-    }
-
-    #[test]
-    fn dropped_lease_never_leaks_budget() {
-        // The crash-safety contract: a lease abandoned mid-flight (worker
-        // death, panic unwinding past the holder) returns every unspent
-        // call to the meter — repeatedly leasing and dropping must never
-        // shrink the usable budget.
-        let b = BudgetedOracle::new(&Linear, 10);
-        for _ in 0..100 {
-            let lease = b.lease(7);
-            assert_eq!(lease.granted(), 7);
-            drop(lease);
-            assert_eq!(b.used(), 0, "abandoned lease leaked budget");
-        }
-        // Partial spends leak nothing either: only committed calls stay.
-        let mut lease = b.lease(9);
-        lease.spend(4);
-        drop(lease);
-        assert_eq!(b.used(), 4);
-        assert_eq!(b.remaining(), 6);
-        // And the reclaimed remainder is genuinely re-leasable.
-        let mut again = b.lease(6);
-        assert_eq!(again.granted(), 6);
-        assert_eq!(again.spend_all(), 6);
-        drop(again);
-        assert!(b.is_exhausted());
-        assert_eq!(b.overruns(), 0);
-    }
-
-    #[test]
-    fn lease_through_the_trait_object() {
-        let b = BudgetedOracle::new(&Linear, 8);
-        let source: &dyn BudgetSource = &b;
-        let mut lease = source.lease(5);
-        assert_eq!(lease.granted(), 5);
-        lease.spend(5);
-        drop(lease);
-        assert_eq!(b.used(), 5);
     }
 
     #[test]

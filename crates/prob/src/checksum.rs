@@ -1,13 +1,12 @@
 //! The workspace's two byte checksums, each defined once.
 //!
 //! * [`crc32`] — CRC-32 (IEEE 802.3, reflected), the integrity trailer of
-//!   checkpoint files and shard-pipe frames.
+//!   checkpoint files.
 //! * [`Fnv1a`] / [`fnv1a`] — 64-bit FNV-1a, the stable content hash behind
 //!   config fingerprints, oracle-cache keys and corner-family oracle ids.
 //!
 //! Neither is cryptographic. Both outputs are persisted or compared across
-//! processes, so the constants here are part of the on-disk and on-wire
-//! formats.
+//! processes, so the constants here are part of the on-disk formats.
 
 use std::sync::OnceLock;
 

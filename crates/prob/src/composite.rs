@@ -181,7 +181,7 @@ mod tests {
         use rand::SeedableRng;
         let m = two_specs();
         let mut rng = rand::rngs::StdRng::seed_from_u64(0);
-        let p_union = monte_carlo(&m, 0.0, 200_000, &mut rng).estimate();
+        let p_union = monte_carlo(&m, 0.0, 200_000, &mut rng, nofis_parallel::global()).estimate();
         let p0 = 1.0 - crate::normal_cdf(3.0);
         let p1 = 1.0 - crate::normal_cdf(2.0);
         assert!(p_union > p1.max(p0));

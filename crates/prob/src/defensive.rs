@@ -163,7 +163,15 @@ mod tests {
         let defensive = DefensiveMixture::new(&Spike, 0.5).unwrap();
         let p = StandardGaussian::new(2);
         let mut rng = StdRng::seed_from_u64(3);
-        let r = importance_sampling(&HalfSpace, 0.0, &defensive, &p, 40_000, &mut rng);
+        let (r, _) = importance_sampling(
+            &HalfSpace,
+            0.0,
+            &defensive,
+            &p,
+            40_000,
+            &mut rng,
+            nofis_parallel::global(),
+        );
         let truth = 1.0 - normal_cdf(1.0);
         assert!(
             (r.estimate / truth - 1.0).abs() < 0.1,

@@ -1,4 +1,4 @@
-use crate::batch::{BatchEval, ORACLE_CHUNK};
+use crate::batch::ORACLE_CHUNK;
 use crate::{LimitState, StandardGaussian};
 use nofis_parallel::chunks::{chunk_count, chunk_range};
 use nofis_parallel::ThreadPool;
@@ -116,10 +116,19 @@ impl IsResult {
 }
 
 /// Importance-sampling estimate of `P[g(x) ≤ threshold]` under the standard
-/// Gaussian `p`, drawing `n` samples from `proposal`.
+/// Gaussian `p`, drawing `n` samples from `proposal`. Also returns the
+/// log-weights of the failure-region samples so callers can run
+/// [`WeightDiagnostics`](crate::WeightDiagnostics) on them.
 ///
 /// Each drawn sample costs one call on `limit_state` (wrap it in a
 /// [`CountingOracle`](crate::CountingOracle) to meter the budget).
+/// Samples are drawn serially from `rng` (sampling is cheap next to oracle
+/// calls, and this keeps the random stream identical to a serial run),
+/// then evaluated in fixed [`ORACLE_CHUNK`]-sized chunks across `pool`
+/// (callers normally pass [`nofis_parallel::global`]). The per-chunk
+/// partial sums `(Σw, Σw²)` are reduced in chunk order, so the estimate,
+/// hit count, ESS, and log-weight list are all bitwise identical for any
+/// thread count.
 ///
 /// # Panics
 ///
@@ -140,8 +149,9 @@ impl IsResult {
 ///
 /// let p = StandardGaussian::new(1);
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(0);
+/// let pool = nofis_parallel::global();
 /// // Using p itself as the proposal reduces IS to plain Monte Carlo.
-/// let r = importance_sampling(&HalfSpace, 0.0, &p, &p, 20_000, &mut rng);
+/// let (r, _) = importance_sampling(&HalfSpace, 0.0, &p, &p, 20_000, &mut rng, pool);
 /// assert!((r.estimate - 0.1587).abs() < 0.02); // P[x >= 1] = 1 - Φ(1)
 /// ```
 pub fn importance_sampling(
@@ -151,111 +161,7 @@ pub fn importance_sampling(
     p: &StandardGaussian,
     n: usize,
     rng: &mut dyn RngCore,
-) -> IsResult {
-    importance_sampling_with_pool(
-        limit_state,
-        threshold,
-        proposal,
-        p,
-        n,
-        rng,
-        nofis_parallel::global(),
-    )
-}
-
-/// [`importance_sampling`] on an explicit pool.
-///
-/// # Panics
-///
-/// Same conditions as [`importance_sampling`].
-pub fn importance_sampling_with_pool(
-    limit_state: &(impl LimitState + ?Sized + Sync),
-    threshold: f64,
-    proposal: &(impl Proposal + ?Sized + Sync),
-    p: &StandardGaussian,
-    n: usize,
-    rng: &mut dyn RngCore,
     pool: &ThreadPool,
-) -> IsResult {
-    let (result, _) =
-        importance_sampling_detailed_with_pool(limit_state, threshold, proposal, p, n, rng, pool);
-    result
-}
-
-/// Importance sampling like [`importance_sampling`], additionally
-/// returning the log-weights of the failure-region samples so callers can
-/// run [`WeightDiagnostics`](crate::WeightDiagnostics) on them.
-///
-/// # Panics
-///
-/// Same conditions as [`importance_sampling`].
-pub fn importance_sampling_detailed(
-    limit_state: &(impl LimitState + ?Sized + Sync),
-    threshold: f64,
-    proposal: &(impl Proposal + ?Sized + Sync),
-    p: &StandardGaussian,
-    n: usize,
-    rng: &mut dyn RngCore,
-) -> (IsResult, Vec<f64>) {
-    importance_sampling_detailed_with_pool(
-        limit_state,
-        threshold,
-        proposal,
-        p,
-        n,
-        rng,
-        nofis_parallel::global(),
-    )
-}
-
-/// [`importance_sampling_detailed`] on an explicit pool.
-///
-/// Samples are drawn serially from `rng` (sampling is cheap next to oracle
-/// calls, and this keeps the random stream identical to a serial run), then
-/// evaluated in fixed [`ORACLE_CHUNK`]-sized chunks across `pool`. The
-/// per-chunk partial sums `(Σw, Σw²)` are reduced in chunk order, so the
-/// estimate, hit count, ESS, and log-weight list are all bitwise identical
-/// for any thread count.
-///
-/// # Panics
-///
-/// Same conditions as [`importance_sampling`].
-pub fn importance_sampling_detailed_with_pool(
-    limit_state: &(impl LimitState + ?Sized + Sync),
-    threshold: f64,
-    proposal: &(impl Proposal + ?Sized + Sync),
-    p: &StandardGaussian,
-    n: usize,
-    rng: &mut dyn RngCore,
-    pool: &ThreadPool,
-) -> (IsResult, Vec<f64>) {
-    importance_sampling_detailed_with_exec(limit_state, threshold, proposal, p, n, rng, pool, None)
-}
-
-/// [`importance_sampling_detailed_with_pool`] with an optional external
-/// batch executor (the sharded worker-process pool).
-///
-/// When `exec` serves the batch, the oracle values for all `n` samples come
-/// back precomputed in sample order and the per-chunk weight pass consumes
-/// them instead of calling `limit_state` — same samples, same per-sample
-/// arithmetic, same chunk-ordered reduction, so the estimate is bitwise
-/// identical to the in-process path (the [`BatchEval`] contract guarantees
-/// the values themselves match bitwise). When `exec` is `None` or declines
-/// the batch, this *is* the in-process path, unchanged.
-///
-/// # Panics
-///
-/// Same conditions as [`importance_sampling`].
-#[allow(clippy::too_many_arguments)]
-pub fn importance_sampling_detailed_with_exec(
-    limit_state: &(impl LimitState + ?Sized + Sync),
-    threshold: f64,
-    proposal: &(impl Proposal + ?Sized + Sync),
-    p: &StandardGaussian,
-    n: usize,
-    rng: &mut dyn RngCore,
-    pool: &ThreadPool,
-    exec: Option<&dyn BatchEval>,
 ) -> (IsResult, Vec<f64>) {
     assert!(n > 0, "importance sampling needs at least one sample");
     assert_eq!(
@@ -264,20 +170,14 @@ pub fn importance_sampling_detailed_with_exec(
         "proposal and limit state dimensions differ"
     );
     let xs: Vec<Vec<f64>> = (0..n).map(|_| proposal.sample(rng)).collect();
-    let pre = exec.and_then(|e| e.try_eval(&xs));
-    // One parallel pass per chunk: oracle call (or precomputed external
-    // value) + log-weight for failures.
+    // One parallel pass per chunk: oracle call + log-weight for failures.
     let partials: Vec<(f64, f64, Vec<f64>)> = pool.map_chunks(chunk_count(n, ORACLE_CHUNK), |ci| {
         let (start, end) = chunk_range(n, ORACLE_CHUNK, ci);
         let mut sum_w = 0.0;
         let mut sum_w2 = 0.0;
         let mut lws = Vec::new();
-        for (i, x) in xs[start..end].iter().enumerate() {
-            let value = match &pre {
-                Some(vals) => vals[start + i],
-                None => limit_state.value(x),
-            };
-            if value <= threshold {
+        for x in &xs[start..end] {
+            if limit_state.value(x) <= threshold {
                 let lw = p.log_density(x) - proposal.log_density(x);
                 lws.push(lw);
                 let w = lw.exp();
@@ -330,7 +230,9 @@ impl McResult {
 }
 
 /// Plain Monte Carlo estimate of `P[g(x) ≤ threshold]`, drawing `n` samples
-/// from the standard Gaussian.
+/// from the standard Gaussian. Samples are drawn serially from `rng`
+/// (identical stream to a serial run); oracle calls run chunked across
+/// `pool` and the hit count is reduced in chunk order.
 ///
 /// # Panics
 ///
@@ -340,41 +242,7 @@ pub fn monte_carlo(
     threshold: f64,
     n: usize,
     rng: &mut dyn RngCore,
-) -> McResult {
-    monte_carlo_with_pool(limit_state, threshold, n, rng, nofis_parallel::global())
-}
-
-/// [`monte_carlo`] on an explicit pool. Samples are drawn serially from
-/// `rng` (identical stream to a serial run); oracle calls run chunked
-/// across the pool and the hit count is reduced in chunk order.
-///
-/// # Panics
-///
-/// Panics if `n == 0`.
-pub fn monte_carlo_with_pool(
-    limit_state: &(impl LimitState + ?Sized + Sync),
-    threshold: f64,
-    n: usize,
-    rng: &mut dyn RngCore,
     pool: &ThreadPool,
-) -> McResult {
-    monte_carlo_with_exec(limit_state, threshold, n, rng, pool, None)
-}
-
-/// [`monte_carlo_with_pool`] with an optional external batch executor —
-/// the same seam (and the same bitwise-identity argument) as
-/// [`importance_sampling_detailed_with_exec`].
-///
-/// # Panics
-///
-/// Panics if `n == 0`.
-pub fn monte_carlo_with_exec(
-    limit_state: &(impl LimitState + ?Sized + Sync),
-    threshold: f64,
-    n: usize,
-    rng: &mut dyn RngCore,
-    pool: &ThreadPool,
-    exec: Option<&dyn BatchEval>,
 ) -> McResult {
     assert!(n > 0, "Monte Carlo needs at least one sample");
     let dim = limit_state.dim();
@@ -385,16 +253,12 @@ pub fn monte_carlo_with_exec(
                 .collect()
         })
         .collect();
-    let pre = exec.and_then(|e| e.try_eval(&xs));
     let chunk_hits: Vec<u64> = pool.map_chunks(chunk_count(n, ORACLE_CHUNK), |ci| {
         let (start, end) = chunk_range(n, ORACLE_CHUNK, ci);
-        match &pre {
-            Some(vals) => vals[start..end].iter().filter(|v| **v <= threshold).count() as u64,
-            None => xs[start..end]
-                .iter()
-                .filter(|x| limit_state.value(x) <= threshold)
-                .count() as u64,
-        }
+        xs[start..end]
+            .iter()
+            .filter(|x| limit_state.value(x) <= threshold)
+            .count() as u64
     });
     McResult {
         hits: chunk_hits.iter().sum(),
@@ -406,6 +270,7 @@ pub fn monte_carlo_with_exec(
 mod tests {
     use super::*;
     use crate::normal_cdf;
+    use nofis_parallel::global as pool;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -439,7 +304,8 @@ mod tests {
     fn shifted_proposal_estimates_tail_accurately() {
         let p = StandardGaussian::new(1);
         let mut rng = StdRng::seed_from_u64(7);
-        let r = importance_sampling(&Shifted, 0.0, &ShiftedProposal, &p, 4000, &mut rng);
+        let (r, _) =
+            importance_sampling(&Shifted, 0.0, &ShiftedProposal, &p, 4000, &mut rng, pool());
         let truth = 1.0 - normal_cdf(3.0); // ≈ 1.35e-3
         assert!(
             (r.estimate / truth - 1.0).abs() < 0.1,
@@ -453,7 +319,7 @@ mod tests {
     #[test]
     fn monte_carlo_matches_cdf() {
         let mut rng = StdRng::seed_from_u64(1);
-        let r = monte_carlo(&Shifted, 2.0, 50_000, &mut rng); // g <= 2 ⇔ x >= 1
+        let r = monte_carlo(&Shifted, 2.0, 50_000, &mut rng, pool()); // g <= 2 ⇔ x >= 1
         let truth = 1.0 - normal_cdf(1.0);
         assert!((r.estimate() / truth - 1.0).abs() < 0.05);
     }
@@ -462,7 +328,7 @@ mod tests {
     fn is_with_base_proposal_equals_mc_statistically() {
         let p = StandardGaussian::new(1);
         let mut rng = StdRng::seed_from_u64(2);
-        let r = importance_sampling(&Shifted, 2.0, &p, &p, 50_000, &mut rng);
+        let (r, _) = importance_sampling(&Shifted, 2.0, &p, &p, 50_000, &mut rng, pool());
         let truth = 1.0 - normal_cdf(1.0);
         assert!((r.estimate / truth - 1.0).abs() < 0.05);
         // All weights are exactly 1 here, so ESS equals hit count.
@@ -473,7 +339,7 @@ mod tests {
     fn zero_hits_gives_zero_estimate() {
         let p = StandardGaussian::new(1);
         let mut rng = StdRng::seed_from_u64(3);
-        let r = importance_sampling(&Shifted, -20.0, &p, &p, 100, &mut rng);
+        let (r, _) = importance_sampling(&Shifted, -20.0, &p, &p, 100, &mut rng, pool());
         assert_eq!(r.estimate, 0.0);
         assert_eq!(r.hits, 0);
         assert_eq!(r.effective_sample_size, 0.0);

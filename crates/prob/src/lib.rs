@@ -10,7 +10,11 @@
 //! * [`StandardGaussian`] — the data-generating distribution `p`, plus
 //!   high-accuracy [`normal_cdf`] / [`normal_quantile`] helpers used by
 //!   analytic goldens and threshold calibration.
-//! * [`Proposal`] and [`importance_sampling`] — the IS estimator of Eq. (2).
+//! * [`Proposal`], [`importance_sampling`] and [`monte_carlo`] — the IS
+//!   estimator of Eq. (2) and its plain Monte Carlo baseline, each taking
+//!   the thread pool to evaluate oracle batches on (normally
+//!   [`nofis_parallel::global`]); [`batch_values`] is the bare batch
+//!   evaluator underneath.
 //! * [`log_error`], [`RunningStats`], [`quantile`] — the paper's evaluation
 //!   metric and experiment statistics.
 //! * [`checksum`] — the workspace's one CRC-32 and one FNV-1a.
@@ -32,7 +36,7 @@
 //!
 //! let oracle = CountingOracle::new(&Ring);
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(0);
-//! let r = monte_carlo(&oracle, 0.0, 10_000, &mut rng);
+//! let r = monte_carlo(&oracle, 0.0, 10_000, &mut rng, nofis_parallel::global());
 //! assert_eq!(oracle.calls(), 10_000);
 //! assert!(r.estimate() < 0.05);
 //! ```
@@ -52,11 +56,8 @@ mod importance;
 mod limit_state;
 mod mixture;
 
-pub use batch::{
-    batch_values, batch_values_budgeted, batch_values_with, batch_values_with_exec, BatchEval,
-    ORACLE_CHUNK,
-};
-pub use budget::{BudgetSource, BudgetedOracle, Lease};
+pub use batch::{batch_values, ORACLE_CHUNK};
+pub use budget::BudgetedOracle;
 pub use cache::{cache_key, CacheStats, CachedOracle, OracleCache};
 pub use composite::AnyOf;
 pub use defensive::DefensiveMixture;
@@ -64,9 +65,7 @@ pub use diagnostics::WeightDiagnostics;
 pub use estimate::{log_error, quantile, ProbabilityEstimate, RunningStats, ESTIMATE_FLOOR};
 pub use gaussian::{erfc, normal_cdf, normal_quantile, StandardGaussian, LN_2PI};
 pub use importance::{
-    importance_sampling, importance_sampling_detailed, importance_sampling_detailed_with_exec,
-    importance_sampling_detailed_with_pool, importance_sampling_with_pool, monte_carlo,
-    monte_carlo_with_exec, monte_carlo_with_pool, FallbackRung, IsResult, McResult, Proposal,
+    importance_sampling, monte_carlo, FallbackRung, IsResult, McResult, Proposal,
 };
 pub use limit_state::{CountingOracle, LimitState};
 pub use mixture::GaussianMixture;

@@ -228,7 +228,15 @@ mod tests {
             .unwrap();
         let p = StandardGaussian::new(2);
         let mut rng = StdRng::seed_from_u64(0);
-        let r = importance_sampling(&TwoDisks, 0.0, &q, &p, 20_000, &mut rng);
+        let (r, _) = importance_sampling(
+            &TwoDisks,
+            0.0,
+            &q,
+            &p,
+            20_000,
+            &mut rng,
+            nofis_parallel::global(),
+        );
         // Golden 5.67e-3 by 2e7-sample MC (the Bessel factor I₀(3.5)
         // makes the naive density-times-area guess 5× too small).
         assert!(

@@ -735,10 +735,6 @@ impl JobRunner {
         if let Some(handle) = self.supervisor.take() {
             let _ = handle.join();
         }
-        // With every worker thread joined, no job can still be mid-eval on
-        // the shared shard fleet: reap its worker processes too. Pools
-        // re-form lazily if evaluation continues in this process.
-        nofis_shard::shutdown_fleet();
     }
 }
 

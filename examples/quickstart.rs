@@ -19,11 +19,6 @@
 //! durable training checkpoints; if the process is killed, re-running the
 //! example resumes from the newest one and produces bitwise-identical
 //! results (DESIGN.md §11).
-//!
-//! Set `NOFIS_SHARDS=N` to fan the estimation pass out over `N` supervised
-//! worker processes (re-execs of this binary — hence the oracle
-//! registration below); the estimate stays bitwise identical at any shard
-//! count, including through worker deaths (DESIGN.md §16).
 
 use nofis_core::{telemetry, Levels, Nofis, NofisConfig};
 use nofis_prob::{log_error, monte_carlo, CountingOracle};
@@ -32,12 +27,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // Shard-worker entry point: under `NOFIS_SHARDS` the supervisor
-    // re-execs this binary, and the child must know how to build the
-    // oracle by name. A plain (unsharded) run returns immediately.
-    nofis_shard::register_oracle("Leaf", || Box::new(Leaf));
-    nofis_shard::maybe_worker_main();
-
     let mut rng = StdRng::seed_from_u64(2024);
 
     // 1. The failure event: a `LimitState` with g(x) <= 0 on failure.
@@ -70,8 +59,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("NOFIS");
     println!("  levels            : {:?}", trained.levels());
     println!("  estimate          : {:.3e}", result.estimate);
-    // Raw bits so reproducibility checks can diff exactly, not to 3
-    // significant digits (CI compares sharded runs against this line).
+    // Raw bits so reproducibility checks can diff two runs exactly, not
+    // to 3 significant digits.
     println!("  estimate (bits)   : {:016x}", result.estimate.to_bits());
     println!("  golden            : {:.3e}", Leaf::GOLDEN_PR);
     println!(
@@ -86,7 +75,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 4. Monte Carlo with the same budget usually sees zero failures.
     oracle.reset();
-    let mc = monte_carlo(&oracle, 0.0, nofis_calls as usize, &mut rng);
+    let mc = monte_carlo(
+        &oracle,
+        0.0,
+        nofis_calls as usize,
+        &mut rng,
+        nofis_parallel::global(),
+    );
     println!("\nMonte Carlo at the same budget");
     println!("  estimate          : {:.3e}", mc.estimate());
     println!(

@@ -37,7 +37,6 @@ pub use nofis_nn as nn;
 pub use nofis_parallel as parallel;
 pub use nofis_photonics as photonics;
 pub use nofis_prob as prob;
-pub use nofis_shard as shard;
 pub use nofis_sweep as sweep;
 pub use nofis_telemetry as telemetry;
 pub use nofis_testcases as testcases;

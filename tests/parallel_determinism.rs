@@ -11,8 +11,7 @@ use nofis::autograd::{Graph, Tensor};
 use nofis::linalg::Matrix;
 use nofis::parallel::ThreadPool;
 use nofis::prob::{
-    batch_values_with, importance_sampling_detailed_with_pool, monte_carlo_with_pool, LimitState,
-    Proposal, StandardGaussian,
+    batch_values, importance_sampling, monte_carlo, LimitState, Proposal, StandardGaussian,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -95,7 +94,7 @@ fn oracle_batch_eval_is_bitwise_identical_across_thread_counts() {
     let serial: Vec<f64> = xs.iter().map(|x| Ring.value(x)).collect();
     for threads in THREAD_COUNTS {
         let pool = ThreadPool::new(threads);
-        let par = batch_values_with(&Ring, &xs, &pool);
+        let par = batch_values(&Ring, &xs, &pool);
         assert_bits_eq(&par, &serial, &format!("batch_values, {threads} threads"));
     }
 }
@@ -150,7 +149,7 @@ fn importance_sampling_is_bitwise_identical_across_thread_counts() {
     let run = |threads: usize| {
         let pool = ThreadPool::new(threads);
         let mut rng = StdRng::seed_from_u64(424242);
-        importance_sampling_detailed_with_pool(&Ring, 0.0, &p, &p, 2000, &mut rng, &pool)
+        importance_sampling(&Ring, 0.0, &p, &p, 2000, &mut rng, &pool)
     };
     let (base_result, base_lws) = run(1);
     assert!(base_result.hits > 0, "test event must be observable");
@@ -176,7 +175,7 @@ fn monte_carlo_is_identical_across_thread_counts() {
     let run = |threads: usize| {
         let pool = ThreadPool::new(threads);
         let mut rng = StdRng::seed_from_u64(7);
-        monte_carlo_with_pool(&Ring, 0.5, 5000, &mut rng, &pool)
+        monte_carlo(&Ring, 0.5, 5000, &mut rng, &pool)
     };
     let base = run(1);
     assert!(base.hits > 0);
@@ -213,7 +212,7 @@ fn weighted_reduction_is_bitwise_identical_across_thread_counts() {
     let run = |threads: usize| {
         let pool = ThreadPool::new(threads);
         let mut rng = StdRng::seed_from_u64(99);
-        importance_sampling_detailed_with_pool(&Ring, 0.0, &Shifted3, &p, 3000, &mut rng, &pool)
+        importance_sampling(&Ring, 0.0, &Shifted3, &p, 3000, &mut rng, &pool)
     };
     let (base_result, base_lws) = run(1);
     assert!(base_result.hits > 0);
