@@ -1,5 +1,6 @@
 use crate::pool::PoolStats;
 use crate::{BufferPool, Tensor};
+use nofis_parallel::math::{sigmoid, softplus};
 
 /// Identifier of a parameter tensor registered with a
 /// [`ParamStore`](crate::ParamStore).
@@ -1327,21 +1328,6 @@ fn eval_external_rows(
         out[(r, 0)] = v;
         grads.row_mut(r).copy_from_slice(&grad);
     }
-}
-
-/// Numerically stable logistic sigmoid.
-fn sigmoid(x: f64) -> f64 {
-    if x >= 0.0 {
-        1.0 / (1.0 + (-x).exp())
-    } else {
-        let e = x.exp();
-        e / (1.0 + e)
-    }
-}
-
-/// Numerically stable softplus `ln(1 + e^x)`.
-fn softplus(x: f64) -> f64 {
-    x.max(0.0) + (-x.abs()).exp().ln_1p()
 }
 
 #[cfg(test)]

@@ -10,9 +10,11 @@
 //! ```
 //!
 //! `summary` reconstructs the run from the structured records alone: the
-//! `train.stage` spans carry per-stage wall time, step counts, retries,
-//! oracle spend, and buffer-pool traffic (from which allocations per step
-//! are derived); the `estimate` span carries the accepted fallback rung.
+//! `train.stage` spans carry per-stage wall time (and `prefix_s`, the part
+//! spent pushing minibatches through the tape-free frozen prefix), step
+//! counts, retries, oracle spend, and buffer-pool traffic (from which
+//! allocations per step are derived); the `estimate` span carries the
+//! accepted fallback rung.
 //! `diff` lines up two traces by stage number to compare timings and
 //! resource spend — e.g. before/after a performance change.
 //!
@@ -79,6 +81,8 @@ struct StageRow {
     stage: u64,
     level: f64,
     secs: f64,
+    /// Seconds of `secs` spent in the tape-free frozen prefix.
+    prefix_secs: f64,
     epochs: u64,
     steps: u64,
     retries: u64,
@@ -108,6 +112,7 @@ fn stage_rows(events: &[TraceEvent]) -> Vec<StageRow> {
             stage: e.u64_field("stage").unwrap_or(0),
             level: e.f64_field("level").unwrap_or(f64::NAN),
             secs: e.duration_us.unwrap_or(0) as f64 / 1e6,
+            prefix_secs: e.f64_field("prefix_s").unwrap_or(0.0),
             epochs: e.u64_field("epochs").unwrap_or(0),
             steps: e.u64_field("steps").unwrap_or(0),
             retries: e.u64_field("retries").unwrap_or(0),
@@ -166,10 +171,11 @@ fn summary(path: &str) -> ExitCode {
         println!("no completed training stages in trace");
     } else {
         println!(
-            "{:>5} {:>9} {:>9} {:>7} {:>7} {:>8} {:>8} {:>12} {:>12}",
+            "{:>5} {:>9} {:>9} {:>9} {:>7} {:>7} {:>8} {:>8} {:>12} {:>12}",
             "stage",
             "level",
             "time(s)",
+            "prefix(s)",
             "epochs",
             "steps",
             "retries",
@@ -179,10 +185,11 @@ fn summary(path: &str) -> ExitCode {
         );
         for r in &rows {
             println!(
-                "{:>5} {:>9.3} {:>9.3} {:>7} {:>7} {:>8} {:>8} {:>12.2} {:>12.4}{}",
+                "{:>5} {:>9.3} {:>9.3} {:>9.3} {:>7} {:>7} {:>8} {:>8} {:>12.2} {:>12.4}{}",
                 r.stage,
                 r.level,
                 r.secs,
+                r.prefix_secs,
                 r.epochs,
                 r.steps,
                 r.retries,
@@ -194,11 +201,13 @@ fn summary(path: &str) -> ExitCode {
         }
         let total_calls: u64 = rows.iter().map(|r| r.oracle_calls).sum();
         let total_secs: f64 = rows.iter().map(|r| r.secs).sum();
+        let prefix_secs: f64 = rows.iter().map(|r| r.prefix_secs).sum();
         let rollbacks = events.iter().filter(|e| e.name == "train.rollback").count();
         println!(
-            "training: {} stages, {:.3} s, {} oracle calls, {} rollbacks",
+            "training: {} stages, {:.3} s ({:.3} s in the frozen prefix), {} oracle calls, {} rollbacks",
             rows.len(),
             total_secs,
+            prefix_secs,
             total_calls,
             rollbacks
         );

@@ -1,7 +1,8 @@
 use nofis_autograd::ParamStore;
 use nofis_flows::RealNvp;
 use nofis_prob::Proposal;
-use rand::RngCore;
+use rand::{Rng, RngCore};
+use rand_distr::StandardNormal;
 
 /// Adapts a (prefix of a) trained [`RealNvp`] flow into a
 /// [`Proposal`] usable with
@@ -48,6 +49,27 @@ impl Proposal for FlowProposal<'_> {
 
     fn log_density(&self, x: &[f64]) -> f64 {
         self.flow.log_density(self.store, x, self.depth)
+    }
+
+    /// The base latent: `dim` standard-normal draws, as
+    /// [`RealNvp::sample`] takes them.
+    fn draw_latent(&self, mut rng: &mut dyn RngCore, row: &mut [f64]) {
+        for v in row {
+            *v = Rng::sample(&mut rng, StandardNormal);
+        }
+    }
+
+    fn push_forward(&self, rows: &mut [f64]) {
+        let mut logdet = vec![0.0; rows.len() / self.flow.dim()];
+        let pool = nofis_parallel::global();
+        self.flow
+            .forward_rows(self.store, 0..self.depth, rows, &mut logdet, pool);
+    }
+
+    fn log_density_batch(&self, xs: &[f64], out: &mut [f64]) {
+        let pool = nofis_parallel::global();
+        self.flow
+            .log_density_rows(self.store, xs, self.depth, out, pool);
     }
 }
 

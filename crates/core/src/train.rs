@@ -11,6 +11,7 @@ use nofis_prob::{
 use nofis_telemetry as tele;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng, StateRng};
+use std::time::Instant;
 
 /// Epoch-loss magnitude beyond which training is declared divergent (a
 /// healthy tempered-KL loss is `O(D)`, nowhere near this).
@@ -319,11 +320,14 @@ impl Nofis {
 
         // One tape for the whole run: `reset()` between minibatches keeps
         // the node arena and recycles every buffer, so steady-state steps
-        // allocate nothing. Frozen-stage pruning skips the backward kernels
-        // of earlier coupling blocks without changing any surviving
-        // gradient bit (DESIGN.md §9).
+        // allocate nothing. The tape holds only the trained block; pruning
+        // skips the backward kernels of its constant-only nodes without
+        // changing any surviving gradient bit (DESIGN.md §9).
         let mut g = Graph::new();
         g.set_pruning(true);
+        // Reused per-step buffers of the tape-free frozen prefix.
+        let mut prefix_rows: Vec<f64> = Vec::new();
+        let mut prefix_ld: Vec<f64> = Vec::new();
 
         tele::event(tele::Level::Info, "train.start")
             .field("dim", dim)
@@ -339,6 +343,9 @@ impl Nofis {
             let stage_stats_start = g.snapshot();
             let mut stage_steps = 0u64;
             let mut stage_span = tele::span(tele::Level::Info, "train.stage");
+            // Seconds in the tape-free frozen prefix, timed only while the
+            // stage span records (emitted once with it).
+            let mut prefix_s = 0.0f64;
 
             // --- Pick this stage's threshold (restored verbatim on a
             //     mid-stage resume). ---
@@ -359,19 +366,18 @@ impl Nofis {
                                 ));
                             }
                             let depth = stage * k;
-                            // Draw serially (the rng is sequential), then score
-                            // the pilot batch across the pool — the granted
-                            // calls were planned above, and the batch values
-                            // come back in sample order.
-                            let xs: Vec<Vec<f64>> = (0..granted)
-                                .map(|_| {
-                                    if depth == 0 {
-                                        base.sample(rng)
-                                    } else {
-                                        flow.sample(&store, depth, rng).0
-                                    }
-                                })
-                                .collect();
+                            // Draw serially (the rng is sequential), push the
+                            // batch through the flow tape-free, then score it
+                            // across the pool — the granted calls were
+                            // planned above, and the batch values come back
+                            // in sample order.
+                            let flat = if depth == 0 {
+                                base.sample_flat(granted, rng)
+                            } else {
+                                FlowProposal::new(&flow, &store, depth).sample_batch(granted, rng)
+                            };
+                            let xs: Vec<Vec<f64>> =
+                                flat.chunks_exact(dim).map(<[f64]>::to_vec).collect();
                             let gvals = batch_values(oracle, &xs, nofis_parallel::global());
                             // `quantile` skips NaN scores; if the proposal only
                             // produces NaN there is nothing to schedule against.
@@ -432,8 +438,11 @@ impl Nofis {
             }
 
             // --- Optimize D[q_{mK} || p_m^tau] (Eq. 8), with checkpoint
-            //     rollback on divergence. ---
+            //     rollback on divergence. Only block m is trained, so with
+            //     freezing on, layers 0..m·K run tape-free and enter each
+            //     step's tape as constants (DESIGN.md §9). ---
             let depth = (stage + 1) * k;
+            let prefix = if cfg.freeze { stage * k } else { 0 };
             let mb = cfg.minibatch.min(cfg.batch_size);
             let mut lr = cfg.learning_rate;
             let mut retries = 0usize;
@@ -507,20 +516,50 @@ impl Nofis {
                         // retry. The pool itself survives a worker panic, so
                         // retrying is sound.
                         g.reset();
-                        let x = g.constant_with(n, dim, |buf| base.sample_fill(buf, rng));
-                        let (z, logdet) = flow.forward_graph(&store, &mut g, x, depth);
                         let eval = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            g.external_rowwise_par(z, nofis_parallel::global(), |row| {
+                            let pool = nofis_parallel::global();
+                            let (x, prefix_logdet) = if prefix == 0 {
+                                (
+                                    g.constant_with(n, dim, |buf| base.sample_fill(buf, rng)),
+                                    None,
+                                )
+                            } else {
+                                let started = stage_span.is_enabled().then(Instant::now);
+                                prefix_rows.resize(n * dim, 0.0);
+                                prefix_ld.resize(n, 0.0);
+                                base.sample_fill(&mut prefix_rows, rng);
+                                flow.forward_rows(
+                                    &store,
+                                    0..prefix,
+                                    &mut prefix_rows,
+                                    &mut prefix_ld,
+                                    pool,
+                                );
+                                if let Some(t) = started {
+                                    prefix_s += t.elapsed().as_secs_f64();
+                                }
+                                let x = g.constant_from_slice(n, dim, &prefix_rows);
+                                (x, Some(g.constant_from_slice(n, 1, &prefix_ld)))
+                            };
+                            let (z, logdet) = flow.forward_graph_layers(
+                                &store,
+                                &mut g,
+                                x,
+                                prefix_logdet,
+                                prefix..depth,
+                            );
+                            let gvals = g.external_rowwise_par(z, pool, |row| {
                                 let (v, grad) = oracle.value_grad(row);
                                 if v.is_finite() && grad.iter().all(|gi| gi.is_finite()) {
                                     (v, grad)
                                 } else {
                                     (level + 1.0, vec![0.0; dim])
                                 }
-                            })
+                            });
+                            (z, logdet, gvals)
                         }));
-                        let gvals = match eval {
-                            Ok(gvals) => gvals,
+                        let (z, logdet, gvals) = match eval {
+                            Ok(forward) => forward,
                             Err(_) => {
                                 divergence = Some((
                                     epoch,
@@ -719,6 +758,7 @@ impl Nofis {
                     "pruned_nodes",
                     stats.pruned_nodes - stage_stats_start.pruned_nodes,
                 );
+                stage_span.field("prefix_s", prefix_s);
                 tele::counter(tele::Level::Debug, "oracle.calls", oracle.used()).emit();
                 tele::counter(tele::Level::Debug, "autograd.pool.hits", stats.pool.hits).emit();
                 tele::counter(

@@ -1,6 +1,7 @@
+use crate::kernel::with_scratch;
 use crate::Mask;
-use nofis_autograd::{Graph, ParamId, ParamStore, Tensor, Var};
-use nofis_nn::{Activation, Mlp};
+use nofis_autograd::{Graph, ParamId, ParamStore, Var};
+use nofis_nn::{Activation, Mlp, MlpScratch};
 use rand::Rng;
 
 /// A RealNVP affine coupling layer (Dinh et al., 2017).
@@ -125,19 +126,90 @@ impl AffineCoupling {
         (y, logdet)
     }
 
-    fn conditioner(&self, store: &ParamStore, masked: &[f64]) -> (Vec<f64>, Vec<f64>) {
-        let xm = Tensor::from_row(masked);
-        let s_raw = self.scale_net.predict(store, &xm);
-        let t = self.translate_net.predict(store, &xm);
-        let s: Vec<f64> = s_raw
-            .as_slice()
-            .iter()
-            .map(|&v| self.s_max * nofis_parallel::math::tanh(v))
-            .collect();
-        (s, t.as_slice().to_vec())
+    /// Tape-free conditioner over row-major `rows`: fills `sc.xm` with the
+    /// masked rows, `sc.s` with the clamped log-scales and `sc.t` with the
+    /// translations, element for element as [`AffineCoupling::forward_graph`]
+    /// computes `xm`, `s` and `t`.
+    fn conditioner_rows(&self, store: &ParamStore, rows: &[f64], sc: &mut CouplingScratch) {
+        let m = self.mask.as_slice();
+        sc.xm.clear();
+        for row in rows.chunks_exact(m.len()) {
+            sc.xm.extend(row.iter().zip(m).map(|(&v, &b)| v * b));
+        }
+        sc.s.resize(rows.len(), 0.0);
+        sc.t.resize(rows.len(), 0.0);
+        self.scale_net
+            .forward_rows(store, &sc.xm, &mut sc.s, &mut sc.mlp);
+        for v in &mut sc.s {
+            *v = nofis_parallel::math::tanh(*v) * self.s_max;
+        }
+        self.translate_net
+            .forward_rows(store, &sc.xm, &mut sc.t, &mut sc.mlp);
     }
 
-    /// Plain (gradient-free) forward transform of one point.
+    /// Tape-free forward of row-major `rows` in place, writing each row's
+    /// `ln|det J|` to `logdet`.
+    ///
+    /// Repeats the per-element arithmetic of
+    /// [`AffineCoupling::forward_graph`] (`y = (x·eˢ + t)·(1−m) + x·m`,
+    /// `ln|det J| = Σ s·(1−m)`), so values and log-dets are bitwise equal
+    /// to the tape's for any row count.
+    pub(crate) fn forward_rows(
+        &self,
+        store: &ParamStore,
+        rows: &mut [f64],
+        logdet: &mut [f64],
+        sc: &mut CouplingScratch,
+    ) {
+        let d = self.dim();
+        self.conditioner_rows(store, rows, sc);
+        let inv = self.inv_mask.as_slice();
+        let per_row = sc
+            .xm
+            .chunks_exact(d)
+            .zip(sc.s.chunks_exact(d))
+            .zip(sc.t.chunks_exact(d));
+        for ((row, ld), ((xm, s), t)) in
+            rows.chunks_exact_mut(d).zip(logdet.iter_mut()).zip(per_row)
+        {
+            for c in 0..d {
+                let affine = row[c] * s[c].exp() + t[c];
+                row[c] = affine * inv[c] + xm[c];
+            }
+            *ld = s.iter().zip(inv).map(|(&sv, &iv)| sv * iv).sum();
+        }
+    }
+
+    /// Tape-free inverse of row-major `rows` in place, writing each row's
+    /// `ln|det J_inverse|` (the negated forward log-det) to `logdet`.
+    ///
+    /// The conditioning coordinates pass through the forward map
+    /// unchanged, so the masked input equals the masked output.
+    pub(crate) fn inverse_rows(
+        &self,
+        store: &ParamStore,
+        rows: &mut [f64],
+        logdet: &mut [f64],
+        sc: &mut CouplingScratch,
+    ) {
+        let d = self.dim();
+        self.conditioner_rows(store, rows, sc);
+        let m = self.mask.as_slice();
+        let per_row = sc.s.chunks_exact(d).zip(sc.t.chunks_exact(d));
+        for ((row, ld), (s, t)) in rows.chunks_exact_mut(d).zip(logdet.iter_mut()).zip(per_row) {
+            let mut acc = 0.0;
+            for c in 0..d {
+                if m[c] != 1.0 {
+                    row[c] = (row[c] - t[c]) * (-s[c]).exp();
+                    acc -= s[c];
+                }
+            }
+            *ld = acc;
+        }
+    }
+
+    /// Plain (gradient-free) forward transform of one point: a one-row
+    /// call of the tape-free kernel.
     ///
     /// Returns `(y, ln|det J|)`.
     ///
@@ -146,23 +218,14 @@ impl AffineCoupling {
     /// Panics if `x.len() != self.dim()`.
     pub fn transform(&self, store: &ParamStore, x: &[f64]) -> (Vec<f64>, f64) {
         assert_eq!(x.len(), self.dim(), "dimension mismatch in transform");
-        let m = self.mask.as_slice();
-        let masked: Vec<f64> = x.iter().zip(m).map(|(&v, &b)| v * b).collect();
-        let (s, t) = self.conditioner(store, &masked);
-        let mut y = vec![0.0; x.len()];
-        let mut logdet = 0.0;
-        for i in 0..x.len() {
-            if m[i] == 1.0 {
-                y[i] = x[i];
-            } else {
-                y[i] = x[i] * s[i].exp() + t[i];
-                logdet += s[i];
-            }
-        }
-        (y, logdet)
+        let mut y = x.to_vec();
+        let mut ld = [0.0];
+        with_scratch(|sc| self.forward_rows(store, &mut y, &mut ld, &mut sc.coupling));
+        (y, ld[0])
     }
 
-    /// Inverse transform of one point.
+    /// Inverse transform of one point: a one-row call of the tape-free
+    /// kernel.
     ///
     /// Returns `(x, ln|det J_inverse|)`; the returned log-determinant is
     /// that of the *inverse* map, i.e. the negation of the forward one at
@@ -173,29 +236,57 @@ impl AffineCoupling {
     /// Panics if `y.len() != self.dim()`.
     pub fn inverse(&self, store: &ParamStore, y: &[f64]) -> (Vec<f64>, f64) {
         assert_eq!(y.len(), self.dim(), "dimension mismatch in inverse");
+        let mut x = y.to_vec();
+        let mut ld = [0.0];
+        with_scratch(|sc| self.inverse_rows(store, &mut x, &mut ld, &mut sc.coupling));
+        (x, ld[0])
+    }
+}
+
+#[cfg(test)]
+impl AffineCoupling {
+    /// Test oracle: the per-row inverse as it ran before the tape-free
+    /// kernel, with each conditioner net evaluated on its own one-row tape.
+    pub(crate) fn inverse_on_tape(&self, store: &ParamStore, y: &[f64]) -> (Vec<f64>, f64) {
         let m = self.mask.as_slice();
-        // The conditioning coordinates pass through unchanged, so the masked
-        // input equals the masked output.
         let masked: Vec<f64> = y.iter().zip(m).map(|(&v, &b)| v * b).collect();
-        let (s, t) = self.conditioner(store, &masked);
+        let net = |mlp: &Mlp| {
+            let mut g = Graph::new();
+            let xv = g.constant(nofis_autograd::Tensor::from_row(&masked));
+            let out = mlp.forward(store, &mut g, xv);
+            g.value(out).as_slice().to_vec()
+        };
+        let s_raw = net(&self.scale_net);
+        let t = net(&self.translate_net);
         let mut x = vec![0.0; y.len()];
         let mut logdet_inv = 0.0;
         for i in 0..y.len() {
             if m[i] == 1.0 {
                 x[i] = y[i];
             } else {
-                x[i] = (y[i] - t[i]) * (-s[i]).exp();
-                logdet_inv -= s[i];
+                let s = self.s_max * nofis_parallel::math::tanh(s_raw[i]);
+                x[i] = (y[i] - t[i]) * (-s).exp();
+                logdet_inv -= s;
             }
         }
         (x, logdet_inv)
     }
 }
 
+/// Per-thread buffers of the coupling kernels, grown once and reused.
+#[derive(Debug, Default)]
+pub(crate) struct CouplingScratch {
+    xm: Vec<f64>,
+    s: Vec<f64>,
+    t: Vec<f64>,
+    mlp: MlpScratch,
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use nofis_autograd::check::{max_rel_error, numeric_param_grads};
+    use nofis_autograd::Tensor;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

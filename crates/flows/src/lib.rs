@@ -33,6 +33,7 @@
 
 mod actnorm;
 mod coupling;
+mod kernel;
 mod mask;
 mod nice;
 mod realnvp;

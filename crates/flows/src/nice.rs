@@ -10,7 +10,7 @@
 
 use crate::Mask;
 use nofis_autograd::{Graph, ParamId, ParamStore, Tensor, Var};
-use nofis_nn::{Activation, Mlp};
+use nofis_nn::{Activation, Mlp, MlpScratch};
 use rand::Rng;
 
 /// An additive coupling layer:
@@ -101,13 +101,11 @@ impl AdditiveCoupling {
         assert_eq!(x.len(), self.dim(), "dimension mismatch in transform");
         let m = self.mask.as_slice();
         let masked: Vec<f64> = x.iter().zip(m).map(|(&v, &b)| v * b).collect();
-        let t = self
-            .translate_net
-            .predict(store, &Tensor::from_row(&masked));
+        let t = self.translate(store, &masked);
         let y: Vec<f64> = x
             .iter()
             .enumerate()
-            .map(|(i, &v)| if m[i] == 1.0 { v } else { v + t[(0, i)] })
+            .map(|(i, &v)| if m[i] == 1.0 { v } else { v + t[i] })
             .collect();
         (y, 0.0)
     }
@@ -121,15 +119,21 @@ impl AdditiveCoupling {
         assert_eq!(y.len(), self.dim(), "dimension mismatch in inverse");
         let m = self.mask.as_slice();
         let masked: Vec<f64> = y.iter().zip(m).map(|(&v, &b)| v * b).collect();
-        let t = self
-            .translate_net
-            .predict(store, &Tensor::from_row(&masked));
+        let t = self.translate(store, &masked);
         let x: Vec<f64> = y
             .iter()
             .enumerate()
-            .map(|(i, &v)| if m[i] == 1.0 { v } else { v - t[(0, i)] })
+            .map(|(i, &v)| if m[i] == 1.0 { v } else { v - t[i] })
             .collect();
         (x, 0.0)
+    }
+
+    /// The translation net on one masked row, tape-free.
+    fn translate(&self, store: &ParamStore, masked: &[f64]) -> Vec<f64> {
+        let mut t = vec![0.0; masked.len()];
+        self.translate_net
+            .forward_rows(store, masked, &mut t, &mut MlpScratch::default());
+        t
     }
 }
 

@@ -1,3 +1,4 @@
+use crate::kernel::with_scratch;
 use crate::{AffineCoupling, Mask};
 use nofis_autograd::{Graph, ParamId, ParamStore, Var};
 use rand::Rng;
@@ -128,17 +129,49 @@ impl RealNvp {
             depth >= 1 && depth <= self.layers.len(),
             "invalid depth {depth}"
         );
-        let (mut z, mut logdet) = self.layers[0].forward_graph(store, g, x);
-        for layer in &self.layers[1..depth] {
+        self.forward_graph_layers(store, g, x, None, 0..depth)
+    }
+
+    /// Differentiable forward pass through the layers in `layers`.
+    ///
+    /// `logdet` is the `[N, 1]` log-det already accumulated before
+    /// `layers.start` — e.g. a frozen prefix computed by
+    /// [`RealNvp::forward_rows`] and injected as a constant — and the sum
+    /// continues from it left to right, exactly as one
+    /// [`RealNvp::forward_graph`] over all the layers would add. With
+    /// `None` the sum starts at the first layer of the range.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `layers` is empty or out of bounds.
+    pub fn forward_graph_layers(
+        &self,
+        store: &ParamStore,
+        g: &mut Graph,
+        x: Var,
+        logdet: Option<Var>,
+        layers: Range<usize>,
+    ) -> (Var, Var) {
+        assert!(
+            layers.start < layers.end && layers.end <= self.layers.len(),
+            "invalid layer range {layers:?}"
+        );
+        let mut z = x;
+        let mut acc = logdet;
+        for layer in &self.layers[layers] {
             let (z2, ld) = layer.forward_graph(store, g, z);
             z = z2;
-            logdet = g.add(logdet, ld);
+            acc = Some(match acc {
+                Some(sum) => g.add(sum, ld),
+                None => ld,
+            });
         }
-        (z, logdet)
+        (z, acc.expect("non-empty layer range"))
     }
 
     /// Plain forward transform of one point through the first `depth`
-    /// layers; returns `(z_depth, Σ ln|det J|)`.
+    /// layers: a one-row call of the tape-free kernel
+    /// ([`RealNvp::forward_rows`]). Returns `(z_depth, Σ ln|det J|)`.
     ///
     /// # Panics
     ///
@@ -150,17 +183,15 @@ impl RealNvp {
             "invalid depth {depth}"
         );
         let mut z = x.to_vec();
-        let mut logdet = 0.0;
-        for layer in &self.layers[..depth] {
-            let (z2, ld) = layer.transform(store, &z);
-            z = z2;
-            logdet += ld;
-        }
-        (z, logdet)
+        let mut logdet = [0.0];
+        self.check_rows(&(0..depth), &z, &logdet);
+        with_scratch(|sc| self.forward_block(store, 0..depth, &mut z, &mut logdet, sc));
+        (z, logdet[0])
     }
 
     /// Inverse transform of one point back through the first `depth` layers
-    /// (applied last-to-first); returns `(z_0, Σ ln|det J_inverse|)`.
+    /// (applied last-to-first): a one-row call of the tape-free kernel
+    /// ([`RealNvp::inverse_rows`]). Returns `(z_0, Σ ln|det J_inverse|)`.
     ///
     /// # Panics
     ///
@@ -172,19 +203,18 @@ impl RealNvp {
             "invalid depth {depth}"
         );
         let mut z = y.to_vec();
-        let mut logdet_inv = 0.0;
-        for layer in self.layers[..depth].iter().rev() {
-            let (z2, ld) = layer.inverse(store, &z);
-            z = z2;
-            logdet_inv += ld;
-        }
-        (z, logdet_inv)
+        let mut logdet_inv = [0.0];
+        self.check_rows(&(0..depth), &z, &logdet_inv);
+        with_scratch(|sc| self.inverse_block(store, 0..depth, &mut z, &mut logdet_inv, sc));
+        (z, logdet_inv[0])
     }
 
     /// Draws one sample from the depth-`depth` flow distribution `q`.
     ///
     /// Returns `(x, ln q(x))`; the log-density comes for free from the
     /// change-of-variables identity `ln q(x) = ln p(z₀) − Σ ln|det J|`.
+    /// The latent `z₀` takes `dim` standard-normal draws from `rng`, in
+    /// coordinate order.
     ///
     /// # Panics
     ///
@@ -205,11 +235,11 @@ impl RealNvp {
     /// `x.len() != self.dim()`.
     pub fn log_density(&self, store: &ParamStore, x: &[f64], depth: usize) -> f64 {
         let (z0, logdet_inv) = self.inverse(store, x, depth);
-        base_log_density(&z0) + logdet_inv
+        logdet_inv + base_log_density(&z0)
     }
 }
 
-fn base_log_density(z: &[f64]) -> f64 {
+pub(crate) fn base_log_density(z: &[f64]) -> f64 {
     let sq: f64 = z.iter().map(|v| v * v).sum();
     -0.5 * (z.len() as f64) * LN_2PI - 0.5 * sq
 }

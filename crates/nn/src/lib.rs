@@ -42,5 +42,5 @@ mod trainer;
 pub use adam::{Adam, AdamState};
 pub use init::Init;
 pub use linear::Linear;
-pub use mlp::{Activation, Mlp};
+pub use mlp::{Activation, Mlp, MlpScratch};
 pub use trainer::{Classifier, Regressor, TrainConfig};

@@ -1,4 +1,4 @@
-use crate::Init;
+use crate::{Activation, Init};
 use nofis_autograd::{Graph, ParamId, ParamStore, Tensor, Var};
 use rand::Rng;
 
@@ -88,9 +88,57 @@ impl Linear {
         }
     }
 
+    /// Tape-free forward of row-major rows: `out = act(xs @ W + b)`, with
+    /// `act` applied per element to `v + bias` (the identity when `None`).
+    ///
+    /// The matmul is the shared serial kernel and each element sees the
+    /// same add-then-activate as the fused `Graph::linear` op, so the
+    /// result is bitwise equal to the tape forward for any row count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `xs` is not a whole number of `in_dim` rows or `out` does
+    /// not hold the matching `out_dim` rows.
+    pub(crate) fn forward_rows(
+        &self,
+        store: &ParamStore,
+        xs: &[f64],
+        out: &mut [f64],
+        act: Option<Activation>,
+    ) {
+        assert_eq!(xs.len() % self.in_dim, 0, "input is not whole rows");
+        let n = xs.len() / self.in_dim;
+        nofis_parallel::kernels::matmul_serial_into(
+            xs,
+            store.get(self.w).as_slice(),
+            out,
+            n,
+            self.in_dim,
+            self.out_dim,
+        );
+        let bias = store.get(self.b).as_slice();
+        match act {
+            None => bias_then(out, bias, |v| v),
+            Some(Activation::Tanh) => bias_then(out, bias, nofis_parallel::math::tanh),
+            Some(Activation::Relu) => bias_then(out, bias, |v| v.max(0.0)),
+            Some(Activation::Sigmoid) => bias_then(out, bias, nofis_parallel::math::sigmoid),
+            Some(Activation::Softplus) => bias_then(out, bias, nofis_parallel::math::softplus),
+        }
+    }
+
     /// The parameter ids `[weights, bias]` of this layer.
     pub fn param_ids(&self) -> [ParamId; 2] {
         [self.w, self.b]
+    }
+}
+
+/// `v = f(v + bias)` over every row of `out`.
+#[inline]
+fn bias_then(out: &mut [f64], bias: &[f64], f: impl Fn(f64) -> f64) {
+    for row in out.chunks_exact_mut(bias.len()) {
+        for (v, &bv) in row.iter_mut().zip(bias) {
+            *v = f(*v + bv);
+        }
     }
 }
 

@@ -1,5 +1,5 @@
 use crate::{Init, Linear};
-use nofis_autograd::{Graph, ParamId, ParamStore, Var};
+use nofis_autograd::{Graph, ParamId, ParamStore, Tensor, Var};
 use rand::Rng;
 
 /// Hidden-layer activation function of an [`Mlp`].
@@ -157,26 +157,82 @@ impl Mlp {
             .collect()
     }
 
-    /// Evaluates the network on raw rows without building gradient state.
+    /// Tape-free forward of row-major rows `xs` (`n × in_dim`) into `out`
+    /// (`n × out_dim`), on the calling thread.
     ///
-    /// Convenience for inference-heavy callers (e.g. the SIR baseline
-    /// evaluating millions of surrogate samples).
-    pub fn predict(
+    /// Hidden activations ping-pong between the two `scratch` buffers,
+    /// which grow once and are reused across calls. Every element follows
+    /// the arithmetic of [`Mlp::forward`] (same matmul kernel, same
+    /// add-then-activate), so the result is bitwise equal to the tape
+    /// forward for any row count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `xs` or `out` does not hold whole rows of the network's
+    /// input or output width, or their row counts differ.
+    pub fn forward_rows(
         &self,
         store: &ParamStore,
-        x: &nofis_autograd::Tensor,
-    ) -> nofis_autograd::Tensor {
-        let mut g = Graph::new();
-        let xv = g.constant(x.clone());
-        let y = self.forward(store, &mut g, xv);
-        g.value(y).clone()
+        xs: &[f64],
+        out: &mut [f64],
+        scratch: &mut MlpScratch,
+    ) {
+        assert_eq!(xs.len() % self.in_dim(), 0, "input is not whole rows");
+        let n = xs.len() / self.in_dim();
+        assert_eq!(out.len(), n * self.out_dim(), "output row count");
+        let MlpScratch { cur, next } = scratch;
+        let last = self.layers.len() - 1;
+        for (i, layer) in self.layers.iter().enumerate() {
+            let src: &[f64] = if i == 0 { xs } else { cur };
+            if i == last {
+                layer.forward_rows(store, src, out, None);
+            } else {
+                next.resize(n * layer.out_dim(), 0.0);
+                layer.forward_rows(store, src, next, Some(self.activation));
+                std::mem::swap(cur, next);
+            }
+        }
     }
+
+    /// Evaluates the network on raw rows without building gradient state.
+    ///
+    /// Rows run in fixed 256-row chunks on the global pool through
+    /// [`Mlp::forward_rows`]; the result is bitwise equal to the tape
+    /// forward for any thread count. For inference-heavy callers (e.g. the
+    /// SIR baseline evaluating millions of surrogate samples).
+    pub fn predict(&self, store: &ParamStore, x: &Tensor) -> Tensor {
+        let (in_dim, out_dim) = (self.in_dim(), self.out_dim());
+        assert_eq!(x.cols(), in_dim, "predict input width");
+        let mut out = Tensor::zeros(x.rows(), out_dim);
+        let xs = x.as_slice();
+        nofis_parallel::global().for_each_chunk_mut(
+            out.as_mut_slice(),
+            PREDICT_CHUNK_ROWS * out_dim,
+            |ci, out_rows| {
+                let start = ci * PREDICT_CHUNK_ROWS * in_dim;
+                let rows = out_rows.len() / out_dim;
+                let chunk = &xs[start..start + rows * in_dim];
+                self.forward_rows(store, chunk, out_rows, &mut MlpScratch::default());
+            },
+        );
+        out
+    }
+}
+
+/// Rows per chunk of [`Mlp::predict`]; fixed, so chunking never depends
+/// on the thread count.
+const PREDICT_CHUNK_ROWS: usize = 256;
+
+/// Reusable hidden-activation buffers for [`Mlp::forward_rows`].
+#[derive(Debug, Clone, Default)]
+pub struct MlpScratch {
+    cur: Vec<f64>,
+    next: Vec<f64>,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nofis_autograd::Tensor;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -216,6 +272,45 @@ mod tests {
             let net = Mlp::new(&mut store, &[2, 4, 1], act, &mut rng);
             let y = net.predict(&store, &Tensor::filled(3, 2, 0.5));
             assert!(y.is_finite());
+        }
+    }
+
+    #[test]
+    fn tape_free_forward_is_bitwise_the_graph_forward() {
+        // Two hidden layers, and more rows than one predict chunk.
+        let rows = PREDICT_CHUNK_ROWS + 44;
+        let x = Tensor::from_fn(rows, 3, |r, c| ((r * 3 + c) as f64 * 0.37).sin() * 2.5);
+        for act in [
+            Activation::Tanh,
+            Activation::Relu,
+            Activation::Sigmoid,
+            Activation::Softplus,
+        ] {
+            let mut store = ParamStore::new();
+            let mut rng = StdRng::seed_from_u64(11);
+            let net = Mlp::new(&mut store, &[3, 7, 5, 2], act, &mut rng);
+            // Nonzero biases, so the bias-then-activate order is exercised.
+            let ids: Vec<_> = store.iter().map(|(id, _)| id).collect();
+            for id in ids {
+                for v in store.get_mut(id).as_mut_slice() {
+                    *v += rng.gen_range(-0.5..0.5);
+                }
+            }
+            let mut g = Graph::new();
+            let xv = g.constant(x.clone());
+            let yv = net.forward(&store, &mut g, xv);
+            let want = g.value(yv).as_slice();
+
+            let got = net.predict(&store, &x);
+            let mut one = vec![0.0; 2];
+            let mut scratch = MlpScratch::default();
+            for (r, w) in want.chunks_exact(2).enumerate() {
+                net.forward_rows(&store, x.row(r), &mut one, &mut scratch);
+                for c in 0..2 {
+                    assert_eq!(got[(r, c)].to_bits(), w[c].to_bits(), "{act:?} row {r}");
+                    assert_eq!(one[c].to_bits(), w[c].to_bits(), "{act:?} one-row {r}");
+                }
+            }
         }
     }
 

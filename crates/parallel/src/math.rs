@@ -152,3 +152,22 @@ pub fn fast_tanh(x: f64) -> f64 {
 pub fn tanh(x: f64) -> f64 {
     fast_tanh(x)
 }
+
+/// Numerically stable logistic sigmoid, shared by the `Graph` op and the
+/// tape-free MLP kernel.
+#[inline]
+pub fn sigmoid(x: f64) -> f64 {
+    if x >= 0.0 {
+        1.0 / (1.0 + (-x).exp())
+    } else {
+        let e = x.exp();
+        e / (1.0 + e)
+    }
+}
+
+/// Numerically stable softplus `ln(1 + e^x)`, shared by the `Graph` op
+/// and the tape-free MLP kernel.
+#[inline]
+pub fn softplus(x: f64) -> f64 {
+    x.max(0.0) + (-x.abs()).exp().ln_1p()
+}

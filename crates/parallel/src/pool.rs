@@ -8,6 +8,7 @@
 //! shared state is the cursor, so the set of chunks each thread executes is
 //! irrelevant to the results, which always land in chunk-indexed slots.
 
+use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Sender};
@@ -65,6 +66,28 @@ fn emit_lanes(active: usize) {
             active as f64,
         )
         .emit();
+    }
+}
+
+thread_local! {
+    /// `true` while this thread executes a chunk of some pool's run (pool
+    /// workers always, a calling thread for the duration of its run).
+    static IN_CHUNK: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Marks the current thread as executing chunks until dropped, restoring
+/// the previous mark (so nested inline runs unwind correctly).
+struct ChunkMark(bool);
+
+impl ChunkMark {
+    fn enter() -> Self {
+        ChunkMark(IN_CHUNK.with(|c| c.replace(true)))
+    }
+}
+
+impl Drop for ChunkMark {
+    fn drop(&mut self) {
+        IN_CHUNK.with(|c| c.set(self.0));
     }
 }
 
@@ -176,16 +199,21 @@ impl ThreadPool {
                 let rx = Arc::clone(&rx);
                 std::thread::Builder::new()
                     .name(format!("nofis-par-{i}"))
-                    .spawn(move || loop {
-                        // Take the lock only to receive; never hold it while
-                        // running a job.
-                        let job = { lock(&rx).recv() };
-                        match job {
-                            // A panicking job must not take the worker down
-                            // with it: the panic is recorded by the job's
-                            // CountDownGuard and re-raised on the caller.
-                            Ok(job) => drop(catch_unwind(AssertUnwindSafe(job))),
-                            Err(_) => break, // pool dropped, channel closed
+                    .spawn(move || {
+                        // A worker only ever runs chunks.
+                        let _mark = ChunkMark::enter();
+                        loop {
+                            // Take the lock only to receive; never hold it
+                            // while running a job.
+                            let job = { lock(&rx).recv() };
+                            match job {
+                                // A panicking job must not take the worker
+                                // down with it: the panic is recorded by the
+                                // job's CountDownGuard and re-raised on the
+                                // caller.
+                                Ok(job) => drop(catch_unwind(AssertUnwindSafe(job))),
+                                Err(_) => break, // pool dropped, channel closed
+                            }
                         }
                     })
                     .expect("failed to spawn nofis-parallel worker")
@@ -242,6 +270,11 @@ impl ThreadPool {
     /// confine its effects to per-chunk state (indexed slots, disjoint
     /// slices); the *assignment* of chunks to threads is unspecified.
     ///
+    /// A run started from inside a chunk (of this pool or any other) runs
+    /// every chunk inline on the calling thread: its helpers could queue
+    /// behind the very chunk that waits for them. Results are the same
+    /// either way, since they never depend on the schedule.
+    ///
     /// # Panics
     ///
     /// Re-raises on the calling thread if `f` panicked on any worker (after
@@ -266,7 +299,13 @@ impl ThreadPool {
         } else {
             self.threads - 1
         };
-        let helpers = lane_budget.min(n_chunks - 1);
+        let nested = IN_CHUNK.with(Cell::get);
+        let helpers = if nested {
+            0
+        } else {
+            lane_budget.min(n_chunks - 1)
+        };
+        let _mark = ChunkMark::enter();
         if helpers == 0 {
             self.inline_runs.fetch_add(1, Ordering::Relaxed);
             for i in 0..n_chunks {
@@ -489,6 +528,19 @@ mod tests {
         // The pool remains fully usable afterwards.
         let out = pool.map_chunks(8, |i| i);
         assert_eq!(out, (0..8).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn nested_runs_execute_inline_and_finish() {
+        // Every outer chunk starts an inner run on the same pool. Without
+        // the inline rule a worker would wait for a helper job queued
+        // behind itself.
+        let pool = ThreadPool::new(2);
+        let out = pool.map_chunks(8, |i| pool.map_chunks(4, |j| i * 10 + j));
+        for (i, inner) in out.iter().enumerate() {
+            assert_eq!(inner, &(0..4).map(|j| i * 10 + j).collect::<Vec<_>>());
+        }
+        assert!(!IN_CHUNK.with(Cell::get), "the caller's mark is restored");
     }
 
     #[test]

@@ -79,11 +79,51 @@ impl<Q: Proposal + ?Sized> Proposal for DefensiveMixture<'_, Q> {
     }
 
     fn log_density(&self, x: &[f64]) -> f64 {
-        // log-sum-exp of ln α + ln p(x) and ln(1−α) + ln q(x); the q term
-        // may be -inf (or NaN from a broken flow) — treat non-finite q
-        // densities as zero mass so the mixture stays a valid density.
+        self.mix(x, self.q.log_density(x))
+    }
+
+    /// Per row: `u`, then either a base draw or `q`'s latent — the stream
+    /// of per-row [`Proposal::sample`] calls. The `q` rows are then pushed
+    /// forward together by `q`.
+    fn sample_batch(&self, n: usize, mut rng: &mut dyn RngCore) -> Vec<f64> {
+        let d = self.dim();
+        let mut xs = vec![0.0; n * d];
+        let mut from_q = Vec::new();
+        for (i, row) in xs.chunks_exact_mut(d).enumerate() {
+            let u: f64 = Rng::gen(&mut rng);
+            if u < self.alpha {
+                self.base.draw_latent(rng, row);
+            } else {
+                self.q.draw_latent(rng, row);
+                from_q.push(i);
+            }
+        }
+        let mut q_rows: Vec<f64> = from_q
+            .iter()
+            .flat_map(|&i| xs[i * d..(i + 1) * d].iter().copied())
+            .collect();
+        self.q.push_forward(&mut q_rows);
+        for (&i, row) in from_q.iter().zip(q_rows.chunks_exact(d)) {
+            xs[i * d..(i + 1) * d].copy_from_slice(row);
+        }
+        xs
+    }
+
+    fn log_density_batch(&self, xs: &[f64], out: &mut [f64]) {
+        self.q.log_density_batch(xs, out);
+        for (lq, x) in out.iter_mut().zip(xs.chunks_exact(self.dim())) {
+            *lq = self.mix(x, *lq);
+        }
+    }
+}
+
+impl<Q: Proposal + ?Sized> DefensiveMixture<'_, Q> {
+    /// `ln q_α(x)` from `q`'s log-density `lq_raw` at `x`: log-sum-exp of
+    /// `ln α + ln p(x)` and `ln(1−α) + ln q(x)`. The `q` term may be -inf
+    /// (or NaN from a broken flow) — non-finite `q` densities count as
+    /// zero mass so the mixture stays a valid density.
+    fn mix(&self, x: &[f64], lq_raw: f64) -> f64 {
         let lp = self.alpha.ln() + self.base.log_density(x);
-        let lq_raw = self.q.log_density(x);
         let lq = if lq_raw.is_nan() {
             f64::NEG_INFINITY
         } else {

@@ -16,6 +16,38 @@ pub trait Proposal {
 
     /// Evaluates `ln q(x)`.
     fn log_density(&self, x: &[f64]) -> f64;
+
+    /// Draws the randomness of one sample into `row` (`dim` entries),
+    /// consuming `rng` exactly as [`Proposal::sample`] does. For a flow
+    /// this is the base latent, which [`Proposal::push_forward`] maps to
+    /// the sample; by default it is the sample itself.
+    fn draw_latent(&self, rng: &mut dyn RngCore, row: &mut [f64]) {
+        row.copy_from_slice(&self.sample(rng));
+    }
+
+    /// Maps row-major rows written by [`Proposal::draw_latent`] to
+    /// samples, in place (the identity by default).
+    fn push_forward(&self, _rows: &mut [f64]) {}
+
+    /// Draws `n` samples as one row-major `n × dim` buffer: the latents
+    /// serially from `rng` (the stream of `n` [`Proposal::sample`] calls),
+    /// then one batched [`Proposal::push_forward`].
+    fn sample_batch(&self, n: usize, rng: &mut dyn RngCore) -> Vec<f64> {
+        let mut xs = vec![0.0; n * self.dim()];
+        for row in xs.chunks_exact_mut(self.dim()) {
+            self.draw_latent(rng, row);
+        }
+        self.push_forward(&mut xs);
+        xs
+    }
+
+    /// Writes `ln q(x)` of every row of the row-major `xs` to `out`; each
+    /// value equals [`Proposal::log_density`] of that row.
+    fn log_density_batch(&self, xs: &[f64], out: &mut [f64]) {
+        for (lq, x) in out.iter_mut().zip(xs.chunks_exact(self.dim())) {
+            *lq = self.log_density(x);
+        }
+    }
 }
 
 impl Proposal for StandardGaussian {
@@ -29,6 +61,10 @@ impl Proposal for StandardGaussian {
 
     fn log_density(&self, x: &[f64]) -> f64 {
         StandardGaussian::log_density(self, x)
+    }
+
+    fn draw_latent(&self, mut rng: &mut dyn RngCore, row: &mut [f64]) {
+        self.sample_fill(row, &mut rng);
     }
 }
 
@@ -122,13 +158,14 @@ impl IsResult {
 ///
 /// Each drawn sample costs one call on `limit_state` (wrap it in a
 /// [`CountingOracle`](crate::CountingOracle) to meter the budget).
-/// Samples are drawn serially from `rng` (sampling is cheap next to oracle
-/// calls, and this keeps the random stream identical to a serial run),
-/// then evaluated in fixed [`ORACLE_CHUNK`]-sized chunks across `pool`
-/// (callers normally pass [`nofis_parallel::global`]). The per-chunk
-/// partial sums `(Σw, Σw²)` are reduced in chunk order, so the estimate,
-/// hit count, ESS, and log-weight list are all bitwise identical for any
-/// thread count.
+/// Samples come from one [`Proposal::sample_batch`] (the random stream of
+/// a serial run), then are evaluated in fixed [`ORACLE_CHUNK`]-sized
+/// chunks across `pool` (callers normally pass
+/// [`nofis_parallel::global`]); each chunk scores its failing rows with
+/// one [`Proposal::log_density_batch`]. The per-chunk partial sums
+/// `(Σw, Σw²)` are reduced in chunk order, so the estimate, hit count,
+/// ESS, and log-weight list are all bitwise identical for any thread
+/// count.
 ///
 /// # Panics
 ///
@@ -169,21 +206,27 @@ pub fn importance_sampling(
         limit_state.dim(),
         "proposal and limit state dimensions differ"
     );
-    let xs: Vec<Vec<f64>> = (0..n).map(|_| proposal.sample(rng)).collect();
-    // One parallel pass per chunk: oracle call + log-weight for failures.
+    let d = proposal.dim();
+    let xs = proposal.sample_batch(n, rng);
+    // One parallel pass per chunk: oracle calls, then one batched density
+    // over the chunk's failing rows, then their log-weights in row order.
     let partials: Vec<(f64, f64, Vec<f64>)> = pool.map_chunks(chunk_count(n, ORACLE_CHUNK), |ci| {
         let (start, end) = chunk_range(n, ORACLE_CHUNK, ci);
+        let failing: Vec<f64> = xs[start * d..end * d]
+            .chunks_exact(d)
+            .filter(|x| limit_state.value(x) <= threshold)
+            .flatten()
+            .copied()
+            .collect();
+        let mut lws = vec![0.0; failing.len() / d];
+        proposal.log_density_batch(&failing, &mut lws);
         let mut sum_w = 0.0;
         let mut sum_w2 = 0.0;
-        let mut lws = Vec::new();
-        for x in &xs[start..end] {
-            if limit_state.value(x) <= threshold {
-                let lw = p.log_density(x) - proposal.log_density(x);
-                lws.push(lw);
-                let w = lw.exp();
-                sum_w += w;
-                sum_w2 += w * w;
-            }
+        for (lw, x) in lws.iter_mut().zip(failing.chunks_exact(d)) {
+            *lw = p.log_density(x) - *lw;
+            let w = lw.exp();
+            sum_w += w;
+            sum_w2 += w * w;
         }
         (sum_w, sum_w2, lws)
     });
