@@ -78,9 +78,8 @@ struct Node {
     value: Tensor,
     grad: Option<Tensor>,
     op: Op,
-    /// `true` when some trainable [`Op::Param`] leaf is reachable from this
-    /// node, i.e. the backward pass has a reason to compute its gradient.
-    /// Always `true` when pruning is disabled (the default).
+    /// `true` when some [`Op::Param`] leaf is reachable from this node, i.e.
+    /// the backward pass has a reason to compute its gradient.
     requires_grad: bool,
 }
 
@@ -90,7 +89,10 @@ struct Node {
 /// Build a `Graph` once, inject parameters with [`Graph::param`] (or
 /// [`ParamStore::inject`](crate::ParamStore::inject)), compose operations,
 /// call [`Graph::backward`] on a scalar loss, and read parameter gradients
-/// back with [`Graph::param_grads`]. Between training steps, call
+/// back with [`Graph::param_grads`]. A node requires a gradient iff it has
+/// a parameter leaf among its ancestors: constants never carry one, and
+/// backward skips every node that only constants feed (a layer is frozen
+/// by entering the tape as a constant). Between training steps, call
 /// [`Graph::reset`]: the tape clears but its node arena and every tensor
 /// buffer are retained in an internal [`BufferPool`], so steady-state steps
 /// perform no heap allocation (see [`Graph::pool_stats`]).
@@ -98,10 +100,12 @@ struct Node {
 /// # Example
 ///
 /// ```
-/// use nofis_autograd::{Graph, Tensor};
+/// use nofis_autograd::{Graph, ParamStore, Tensor};
 ///
+/// let mut store = ParamStore::new();
+/// let id = store.add(Tensor::from_row(&[3.0]));
 /// let mut g = Graph::new();
-/// let x = g.constant(Tensor::from_row(&[3.0]));
+/// let x = store.inject(&mut g, id);
 /// let y = g.square(x);          // y = x^2
 /// let loss = g.sum_all(y);
 /// g.backward(loss);
@@ -114,12 +118,6 @@ struct Node {
 pub struct Graph {
     nodes: Vec<Node>,
     pool: BufferPool,
-    /// When `true`, gradient work is pruned for nodes with no trainable
-    /// ancestor (see [`Graph::set_pruning`]).
-    prune: bool,
-    /// When `true` (default), layer helpers fuse `matmul + bias (+ tanh)`
-    /// and `s · tanh` into single tape ops.
-    fuse: bool,
     /// Cumulative observability counters (see [`Graph::snapshot`]).
     backward_runs: u64,
     grad_nodes: u64,
@@ -131,10 +129,10 @@ pub struct Graph {
 ///
 /// Everything here is observational: counters are bumped on paths the
 /// tape already takes and never change what gets computed. They quantify
-/// the effect of the two per-step optimizations — the buffer pool
-/// (`pool.misses` is the allocations-per-step meter) and frozen-gradient
-/// pruning (`skipped_nodes` counts backward visits that did no gradient
-/// work because nothing reached the node).
+/// the two per-step savings — the buffer pool (`pool.misses` is the
+/// allocations-per-step meter) and gradient pruning (`pruned_nodes` counts
+/// nodes built without a parameter ancestor, `skipped_nodes` backward
+/// visits that did no gradient work because nothing reached the node).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct GraphStats {
     /// Buffer-pool hit/miss counters (misses allocate, hits recycle).
@@ -145,10 +143,9 @@ pub struct GraphStats {
     /// runs (the per-run count is the live tape minus skipped nodes).
     pub grad_nodes: u64,
     /// Backward visits skipped because no gradient reached the node —
-    /// pruned frozen-only subgraphs and branches the loss never touched.
+    /// constant-only subgraphs and branches the loss never touched.
     pub skipped_nodes: u64,
-    /// Tape nodes built with gradients pruned (no trainable ancestor);
-    /// only nonzero with [`Graph::set_pruning`] on.
+    /// Tape nodes built without a gradient (no parameter ancestor).
     pub pruned_nodes: u64,
 }
 
@@ -268,14 +265,9 @@ fn pooled_matmul(pool: &mut BufferPool, a: &Tensor, b: &Tensor) -> Tensor {
 }
 
 impl Graph {
-    /// Creates an empty graph with pruning off and op fusion on.
+    /// Creates an empty graph.
     pub fn new() -> Self {
-        Graph::default().with_fusion_on()
-    }
-
-    fn with_fusion_on(mut self) -> Self {
-        self.fuse = true;
-        self
+        Graph::default()
     }
 
     /// Number of nodes currently on the tape.
@@ -303,56 +295,6 @@ impl Graph {
             }
             pool.put(node.value.into_vec());
         }
-    }
-
-    /// Enables or disables needs-grad pruning for the tape built next.
-    ///
-    /// With pruning **on**, constants do not require gradients, parameter
-    /// leaves require them only when injected as trainable, and
-    /// [`Graph::backward`] skips every gradient kernel (and grad-buffer
-    /// allocation) for nodes with no trainable ancestor. The gradients that
-    /// *are* computed are bitwise identical to the unpruned ones — pruning
-    /// removes work whose results would never be read, nothing else.
-    ///
-    /// With pruning **off** (the default), every node requires gradients,
-    /// matching the historical semantics (`g.grad(constant)` works).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tape is non-empty: flags are assigned at node-build
-    /// time, so toggling mid-tape would make them inconsistent.
-    pub fn set_pruning(&mut self, on: bool) {
-        assert!(
-            self.nodes.is_empty(),
-            "set_pruning requires an empty tape (call reset() first)"
-        );
-        self.prune = on;
-    }
-
-    /// Whether needs-grad pruning is enabled.
-    pub fn pruning_enabled(&self) -> bool {
-        self.prune
-    }
-
-    /// Enables or disables fused layer ops (`matmul+bias(+tanh)`,
-    /// `s·tanh`). Fusion is on by default; the unfused composition produces
-    /// bitwise-identical values and gradients and exists for A/B testing
-    /// and benchmarks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tape is non-empty.
-    pub fn set_fusion(&mut self, on: bool) {
-        assert!(
-            self.nodes.is_empty(),
-            "set_fusion requires an empty tape (call reset() first)"
-        );
-        self.fuse = on;
-    }
-
-    /// Whether fused layer ops are enabled.
-    pub fn fusion_enabled(&self) -> bool {
-        self.fuse
     }
 
     /// Hit/miss counters of the internal buffer pool — the workspace's
@@ -387,7 +329,7 @@ impl Graph {
         Var(self.nodes.len() - 1)
     }
 
-    /// Whether `v` has a trainable ancestor (always `true` without pruning).
+    /// Whether `v` has a parameter leaf among its ancestors.
     fn rg(&self, v: Var) -> bool {
         self.nodes[v.0].requires_grad
     }
@@ -398,15 +340,15 @@ impl Graph {
     }
 
     /// The gradient of the last [`Graph::backward`] loss with respect to
-    /// `v`, if `v` participated (and was not pruned).
+    /// `v`, if `v` participated and has a parameter ancestor (constants
+    /// never carry a gradient).
     pub fn grad(&self, v: Var) -> Option<&Tensor> {
         self.nodes[v.0].grad.as_ref()
     }
 
     /// Adds a constant leaf (no gradient flows past it).
     pub fn constant(&mut self, t: Tensor) -> Var {
-        let rg = !self.prune;
-        self.push(t, Op::Leaf, rg)
+        self.push(t, Op::Leaf, false)
     }
 
     /// Adds a constant leaf by copying `data` into a pooled buffer.
@@ -418,8 +360,7 @@ impl Graph {
         assert_eq!(data.len(), rows * cols, "constant_from_slice length");
         let mut buf = self.pool.take_uninit(rows * cols);
         buf.extend_from_slice(data);
-        let rg = !self.prune;
-        self.push(Tensor::from_vec(rows, cols, buf), Op::Leaf, rg)
+        self.push(Tensor::from_vec(rows, cols, buf), Op::Leaf, false)
     }
 
     /// Adds a constant leaf whose pooled buffer is filled in place by
@@ -433,8 +374,7 @@ impl Graph {
     ) -> Var {
         let mut buf = self.pool.take(rows * cols);
         fill(&mut buf);
-        let rg = !self.prune;
-        self.push(Tensor::from_vec(rows, cols, buf), Op::Leaf, rg)
+        self.push(Tensor::from_vec(rows, cols, buf), Op::Leaf, false)
     }
 
     /// Adds a trainable parameter leaf whose gradient will be reported by
@@ -443,28 +383,17 @@ impl Graph {
         self.push(t, Op::Param(id), true)
     }
 
-    /// Adds a parameter leaf by copying `data` into a pooled buffer.
-    ///
-    /// With pruning enabled and `trainable == false` (a frozen parameter),
-    /// the leaf requires no gradient: backward skips its whole forward-only
-    /// subgraph and [`Graph::param_grads`] omits it.
+    /// Adds a trainable parameter leaf by copying `data` into a pooled
+    /// buffer.
     ///
     /// # Panics
     ///
     /// Panics if `data.len() != rows * cols`.
-    pub fn param_from_slice(
-        &mut self,
-        id: ParamId,
-        rows: usize,
-        cols: usize,
-        data: &[f64],
-        trainable: bool,
-    ) -> Var {
+    pub fn param_from_slice(&mut self, id: ParamId, rows: usize, cols: usize, data: &[f64]) -> Var {
         assert_eq!(data.len(), rows * cols, "param_from_slice length");
         let mut buf = self.pool.take_uninit(rows * cols);
         buf.extend_from_slice(data);
-        let rg = trainable || !self.prune;
-        self.push(Tensor::from_vec(rows, cols, buf), Op::Param(id), rg)
+        self.push(Tensor::from_vec(rows, cols, buf), Op::Param(id), true)
     }
 
     /// Elementwise addition of two same-shape tensors.
@@ -823,10 +752,9 @@ impl Graph {
     /// Runs reverse-mode differentiation from the scalar `loss` node.
     ///
     /// Gradients accumulate on every node reachable from `loss` that has a
-    /// trainable ancestor (every reachable node when pruning is off); read
-    /// them with [`Graph::grad`] or collect parameter gradients via
-    /// [`Graph::param_grads`]. Gradient buffers come from the internal
-    /// pool, and pruned branches allocate nothing.
+    /// parameter ancestor; read them with [`Graph::grad`] or collect
+    /// parameter gradients via [`Graph::param_grads`]. Gradient buffers come
+    /// from the internal pool, and pruned branches allocate nothing.
     ///
     /// # Panics
     ///
@@ -870,7 +798,7 @@ impl Graph {
     }
 
     /// Adds `delta` into `v`'s gradient slot, recycling `delta`'s buffer
-    /// when it merges into an existing gradient (or when `v` is pruned).
+    /// when it merges into an existing gradient (or when `v` needs none).
     fn accumulate(&mut self, v: Var, delta: Tensor) {
         let Graph { nodes, pool, .. } = self;
         let node = &mut nodes[v.0];
@@ -1261,8 +1189,7 @@ impl Graph {
     ///
     /// If the same [`ParamId`] was injected more than once, its gradients
     /// are summed. Parameters that did not participate in the last backward
-    /// pass — including frozen parameters pruned by
-    /// [`Graph::set_pruning`] — are omitted.
+    /// pass are omitted.
     pub fn param_grads(&self) -> Vec<(ParamId, Tensor)> {
         let mut out: Vec<(ParamId, Tensor)> = Vec::new();
         for node in &self.nodes {
@@ -1337,8 +1264,8 @@ mod tests {
     #[test]
     fn add_and_mul_gradients() {
         let mut g = Graph::new();
-        let a = g.constant(Tensor::from_row(&[2.0, 3.0]));
-        let b = g.constant(Tensor::from_row(&[4.0, 5.0]));
+        let a = g.param(ParamId(0), Tensor::from_row(&[2.0, 3.0]));
+        let b = g.param(ParamId(1), Tensor::from_row(&[4.0, 5.0]));
         let prod = g.mul(a, b);
         let s = g.sum_all(prod);
         g.backward(s);
@@ -1349,8 +1276,8 @@ mod tests {
     #[test]
     fn matmul_gradients_match_formula() {
         let mut g = Graph::new();
-        let a = g.constant(Tensor::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]));
-        let b = g.constant(Tensor::from_vec(2, 2, vec![5.0, 6.0, 7.0, 8.0]));
+        let a = g.param(ParamId(0), Tensor::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]));
+        let b = g.param(ParamId(1), Tensor::from_vec(2, 2, vec![5.0, 6.0, 7.0, 8.0]));
         let c = g.matmul(a, b);
         let s = g.sum_all(c);
         g.backward(s);
@@ -1364,7 +1291,7 @@ mod tests {
     fn chained_nonlinearities() {
         // loss = sum(tanh(x)^2); d/dx = 2 tanh(x)(1 - tanh^2(x))
         let mut g = Graph::new();
-        let x = g.constant(Tensor::from_row(&[0.5]));
+        let x = g.param(ParamId(0), Tensor::from_row(&[0.5]));
         let t = g.tanh(x);
         let sq = g.square(t);
         let loss = g.sum_all(sq);
@@ -1378,7 +1305,7 @@ mod tests {
     fn broadcast_add_row_sums_bias_grad() {
         let mut g = Graph::new();
         let x = g.constant(Tensor::from_vec(3, 2, vec![1.0; 6]));
-        let b = g.constant(Tensor::from_row(&[10.0, 20.0]));
+        let b = g.param(ParamId(0), Tensor::from_row(&[10.0, 20.0]));
         let y = g.add_row(x, b);
         let loss = g.sum_all(y);
         g.backward(loss);
@@ -1389,8 +1316,8 @@ mod tests {
     #[test]
     fn mul_row_masks() {
         let mut g = Graph::new();
-        let x = g.constant(Tensor::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]));
-        let m = g.constant(Tensor::from_row(&[1.0, 0.0]));
+        let x = g.param(ParamId(0), Tensor::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]));
+        let m = g.param(ParamId(1), Tensor::from_row(&[1.0, 0.0]));
         let y = g.mul_row(x, m);
         assert_eq!(g.value(y).as_slice(), &[1.0, 0.0, 3.0, 0.0]);
         let loss = g.sum_all(y);
@@ -1402,7 +1329,7 @@ mod tests {
     #[test]
     fn min_scalar_subgradient() {
         let mut g = Graph::new();
-        let x = g.constant(Tensor::from_row(&[-1.0, 1.0]));
+        let x = g.param(ParamId(0), Tensor::from_row(&[-1.0, 1.0]));
         let y = g.min_scalar(x, 0.0);
         assert_eq!(g.value(y).as_slice(), &[-1.0, 0.0]);
         let loss = g.sum_all(y);
@@ -1413,7 +1340,10 @@ mod tests {
     #[test]
     fn sum_cols_shapes_and_grad() {
         let mut g = Graph::new();
-        let x = g.constant(Tensor::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]));
+        let x = g.param(
+            ParamId(0),
+            Tensor::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]),
+        );
         let y = g.sum_cols(x);
         assert_eq!(g.value(y).shape(), (2, 1));
         assert_eq!(g.value(y).as_slice(), &[6.0, 15.0]);
@@ -1431,7 +1361,7 @@ mod tests {
     fn external_rowwise_uses_supplied_gradient() {
         // f(row) = 3*x0 - x1, grad = [3, -1]
         let mut g = Graph::new();
-        let x = g.constant(Tensor::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]));
+        let x = g.param(ParamId(0), Tensor::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]));
         let y = g.external_rowwise(x, |row| (3.0 * row[0] - row[1], vec![3.0, -1.0]));
         assert_eq!(g.value(y).as_slice(), &[1.0, 5.0]);
         let loss = g.sum_all(y);
@@ -1456,7 +1386,7 @@ mod tests {
     #[test]
     fn backward_twice_is_idempotent() {
         let mut g = Graph::new();
-        let x = g.constant(Tensor::from_row(&[1.5]));
+        let x = g.param(ParamId(0), Tensor::from_row(&[1.5]));
         let y = g.exp(x);
         let loss = g.sum_all(y);
         g.backward(loss);
@@ -1582,8 +1512,8 @@ mod tests {
         let mut g = Graph::new();
         assert_eq!(g.snapshot(), GraphStats::default());
 
-        // Without pruning, nothing counts as pruned.
-        let x = g.constant(Tensor::from_row(&[2.0]));
+        // A tape fed only by a parameter prunes nothing.
+        let x = g.param(ParamId(0), Tensor::from_row(&[2.0]));
         let y = g.square(x);
         let loss = g.sum_all(y);
         g.backward(loss);
@@ -1594,10 +1524,9 @@ mod tests {
         assert_eq!(s.pruned_nodes, 0);
         assert_eq!(s.pool, g.pool_stats());
 
-        // With pruning, the constant leaf is built pruned; backward never
-        // delivers a gradient to it, so its visit is counted as skipped.
+        // A constant leaf is built pruned; backward never delivers a
+        // gradient to it, so its visit is counted as skipped.
         g.reset();
-        g.set_pruning(true);
         let c = g.constant(Tensor::from_row(&[1.5]));
         let p = g.param(ParamId(0), Tensor::from_row(&[0.5]));
         let sum = g.add(c, p);
@@ -1614,59 +1543,60 @@ mod tests {
     }
 
     #[test]
-    fn pruning_skips_frozen_only_subgraphs_and_keeps_grads_bitwise() {
-        // loss = mean((x·Wf + x·Wt)^2): Wf frozen, Wt trainable.
+    fn constant_input_prunes_work_and_keeps_grads_bitwise() {
+        // loss = mean((x·Wa + x·Wb)^2), once with x a constant and once
+        // with x a parameter leaf: the constant carries no gradient, and
+        // the loss and every other parameter gradient keep their bits.
         let x_data = Tensor::from_vec(2, 2, vec![0.4, -0.3, 0.7, 0.2]);
-        let wf = Tensor::from_vec(2, 2, vec![0.3, 0.1, -0.2, 0.5]);
-        let wt = Tensor::from_vec(2, 2, vec![-0.4, 0.2, 0.6, -0.1]);
-        let run = |prune: bool| {
+        let wa = Tensor::from_vec(2, 2, vec![0.3, 0.1, -0.2, 0.5]);
+        let wb = Tensor::from_vec(2, 2, vec![-0.4, 0.2, 0.6, -0.1]);
+        let run = |x_is_param: bool| {
             let mut g = Graph::new();
-            g.set_pruning(prune);
-            let x = g.constant(x_data.clone());
-            let f = g.param_from_slice(ParamId(0), 2, 2, wf.as_slice(), false);
-            let t = g.param_from_slice(ParamId(1), 2, 2, wt.as_slice(), true);
-            let hf = g.matmul(x, f);
-            let ht = g.matmul(x, t);
-            let h = g.add(hf, ht);
+            let x = if x_is_param {
+                g.param_from_slice(ParamId(2), 2, 2, x_data.as_slice())
+            } else {
+                g.constant(x_data.clone())
+            };
+            let a = g.param_from_slice(ParamId(0), 2, 2, wa.as_slice());
+            let b = g.param_from_slice(ParamId(1), 2, 2, wb.as_slice());
+            let ha = g.matmul(x, a);
+            let hb = g.matmul(x, b);
+            let h = g.add(ha, hb);
             let sq = g.square(h);
             let loss = g.mean_all(sq);
             g.backward(loss);
-            let frozen_grad_present = g.grad(f).is_some();
-            let trainable = g
+            let x_grad_present = g.grad(x).is_some();
+            let grads: Vec<_> = g
                 .param_grads()
                 .into_iter()
-                .find(|(id, _)| *id == ParamId(1))
-                .expect("trainable grad")
-                .1;
-            (frozen_grad_present, trainable, g.value(loss).item())
+                .filter(|(id, _)| *id != ParamId(2))
+                .collect();
+            (x_grad_present, grads, g.value(loss).item(), g.snapshot())
         };
-        let (frozen_on, grad_pruned, loss_pruned) = run(true);
-        let (frozen_off, grad_full, loss_full) = run(false);
-        assert!(!frozen_on, "pruned frozen param must have no grad buffer");
-        assert!(frozen_off, "unpruned run keeps the frozen grad");
-        assert_eq!(loss_pruned.to_bits(), loss_full.to_bits());
-        for (a, b) in grad_pruned.as_slice().iter().zip(grad_full.as_slice()) {
-            assert_eq!(a.to_bits(), b.to_bits(), "surviving gradient drifted");
+        let (const_grad, grads_c, loss_c, stats_c) = run(false);
+        let (param_grad, grads_p, loss_p, stats_p) = run(true);
+        assert!(!const_grad, "a constant must have no grad buffer");
+        assert!(param_grad, "a parameter leaf keeps its grad");
+        assert!(stats_c.pruned_nodes >= 1 && stats_p.pruned_nodes == 0);
+        assert_eq!(loss_c.to_bits(), loss_p.to_bits());
+        assert_eq!(grads_c.len(), 2);
+        assert_eq!(grads_p.len(), 2);
+        for ((ic, gc), (ip, gp)) in grads_c.iter().zip(&grads_p) {
+            assert_eq!(ic, ip);
+            for (a, b) in gc.as_slice().iter().zip(gp.as_slice()) {
+                assert_eq!(a.to_bits(), b.to_bits(), "parameter gradient drifted");
+            }
         }
     }
 
     #[test]
-    fn fully_frozen_loss_produces_no_gradients() {
+    fn constant_only_loss_produces_no_gradients() {
         let mut g = Graph::new();
-        g.set_pruning(true);
-        let w = g.param_from_slice(ParamId(0), 1, 2, &[1.0, 2.0], false);
+        let w = g.constant_from_slice(1, 2, &[1.0, 2.0]);
         let sq = g.square(w);
         let loss = g.sum_all(sq);
         g.backward(loss);
         assert!(g.grad(w).is_none());
         assert!(g.param_grads().is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "empty tape")]
-    fn set_pruning_rejects_non_empty_tape() {
-        let mut g = Graph::new();
-        let _ = g.constant(Tensor::scalar(1.0));
-        g.set_pruning(true);
     }
 }

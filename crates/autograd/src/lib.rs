@@ -14,8 +14,7 @@
 //!   black-box `g : R^D -> R` (circuit simulator, BPM, ODE model) into the
 //!   tape, which is how NOFIS backpropagates through `g(z_K)` in Eq. (7)/(8)
 //!   of the paper.
-//! * [`ParamStore`] — owns trainable tensors across graph rebuilds and
-//!   carries the per-parameter *frozen* flags used by NOFIS stage freezing.
+//! * [`ParamStore`] — owns trainable tensors across graph rebuilds.
 //! * [`check`] — finite-difference gradient checking used by every test
 //!   suite in the workspace.
 //!

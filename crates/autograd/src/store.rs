@@ -4,9 +4,10 @@ use crate::{Graph, ParamId, Tensor, Var};
 ///
 /// A [`Graph`](crate::Graph) is rebuilt every training step; parameters
 /// persist here and are injected into each new graph with
-/// [`ParamStore::inject`]. Parameters can be *frozen* — optimizers skip
-/// frozen parameters, which is how NOFIS freezes earlier coupling blocks
-/// when training stage `m`.
+/// [`ParamStore::inject`]. Every injected parameter is trainable: a layer
+/// is frozen by keeping it off the tape (NOFIS runs earlier coupling
+/// blocks tape-free and feeds their output in as a constant), not by a
+/// flag here.
 ///
 /// # Example
 ///
@@ -25,7 +26,6 @@ use crate::{Graph, ParamId, Tensor, Var};
 #[derive(Debug, Default, Clone)]
 pub struct ParamStore {
     params: Vec<Tensor>,
-    frozen: Vec<bool>,
 }
 
 impl ParamStore {
@@ -37,7 +37,6 @@ impl ParamStore {
     /// Registers a parameter tensor and returns its id.
     pub fn add(&mut self, t: Tensor) -> ParamId {
         self.params.push(t);
-        self.frozen.push(false);
         ParamId(self.params.len() - 1)
     }
 
@@ -61,17 +60,6 @@ impl ParamStore {
         &mut self.params[id.0]
     }
 
-    /// Marks a parameter (un)frozen. Frozen parameters still participate in
-    /// forward/backward passes but are skipped by optimizers.
-    pub fn set_frozen(&mut self, id: ParamId, frozen: bool) {
-        self.frozen[id.0] = frozen;
-    }
-
-    /// Whether a parameter is frozen.
-    pub fn is_frozen(&self, id: ParamId) -> bool {
-        self.frozen[id.0]
-    }
-
     /// Iterates over `(id, tensor)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (ParamId, &Tensor)> {
         self.params.iter().enumerate().map(|(i, t)| (ParamId(i), t))
@@ -85,12 +73,10 @@ impl ParamStore {
     /// Injects parameter `id` into `graph` as a parameter leaf.
     ///
     /// The parameter's values are copied into a graph-pooled buffer (no
-    /// per-step heap allocation once the graph is warm) and the leaf is
-    /// marked trainable unless the parameter is frozen, which lets
-    /// [`Graph::set_pruning`] skip backward work for frozen subgraphs.
+    /// per-step heap allocation once the graph is warm).
     pub fn inject(&self, graph: &mut Graph, id: ParamId) -> Var {
         let t = &self.params[id.0];
-        graph.param_from_slice(id, t.rows(), t.cols(), t.as_slice(), !self.frozen[id.0])
+        graph.param_from_slice(id, t.rows(), t.cols(), t.as_slice())
     }
 }
 
@@ -99,15 +85,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn add_get_freeze() {
+    fn add_get_mutate() {
         let mut s = ParamStore::new();
         let a = s.add(Tensor::scalar(1.0));
         let b = s.add(Tensor::scalar(2.0));
         assert_eq!(s.len(), 2);
         assert_eq!(s.get(b).item(), 2.0);
-        assert!(!s.is_frozen(a));
-        s.set_frozen(a, true);
-        assert!(s.is_frozen(a));
         s.get_mut(a).as_mut_slice()[0] = 5.0;
         assert_eq!(s.get(a).item(), 5.0);
         assert_eq!(s.scalar_count(), 2);

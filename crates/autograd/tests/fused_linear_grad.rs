@@ -75,7 +75,6 @@ fn check_fused_matches_unfused_bitwise(m: usize, k: usize, n: usize) {
         let w = store.add(w_t.clone());
         let b = store.add(b_t.clone());
         let mut g = Graph::new();
-        g.set_fusion(fused);
         let xv = g.constant(x.clone());
         let wv = store.inject(&mut g, w);
         let bv = store.inject(&mut g, b);

@@ -63,50 +63,34 @@ fn bench_training_graph(c: &mut Criterion) {
     group.finish();
 }
 
-/// Seed path (fresh unfused tape per step, grads cloned out for Adam)
-/// vs. the pooled hot path (tape arena reuse + frozen-gradient pruning +
-/// fused kernels + fused Adam) on a stage-3 frozen-prefix NOFIS step.
-/// The bitwise-equivalence tests pin that both lanes compute the same
-/// numbers; this group measures only the time.
+/// The training loop's step at stage 3: the frozen prefix (layers 0..4)
+/// through the tape-free kernel, the live block on a reused, pooled tape,
+/// then fused Adam.
 fn bench_pooled_training_step(c: &mut Criterion) {
     let mut group = c.benchmark_group("pooled_training_step");
     group.sample_size(10);
     let (dim, layers, frozen, batch) = (8usize, 6usize, 4usize, 256usize);
-    let build = || {
+    let data: Vec<f64> = (0..batch * dim).map(|i| (i as f64 * 0.01).sin()).collect();
+    group.bench_function("kernel_prefix_live_tape", |b| {
         let (mut store, flow) = randomized_flow(dim, layers);
-        for id in flow.param_ids_for_layers(0..frozen) {
-            store.set_frozen(id, true);
-        }
-        let opt = nofis_nn::Adam::new(1e-3).with_max_grad_norm(Some(5.0));
-        (store, flow, opt)
-    };
-    let data = Tensor::from_fn(batch, dim, |r, c| ((r * dim + c) as f64 * 0.01).sin());
-    let loss_of = |g: &mut Graph, store: &ParamStore, flow: &RealNvp| {
-        let x = g.constant(data.clone());
-        let (z, ld) = flow.forward_graph(store, g, x, layers);
-        let sq = g.square(z);
-        let ssq = g.sum_cols(sq);
-        let a = g.add(ld, ssq);
-        let loss = g.mean_all(a);
-        g.backward(loss);
-        loss
-    };
-    group.bench_function("seed_path", |b| {
-        let (mut store, flow, mut opt) = build();
-        b.iter(|| {
-            let mut g = Graph::new();
-            g.set_fusion(false);
-            loss_of(&mut g, &store, &flow);
-            opt.step(&mut store, &g.param_grads());
-        })
-    });
-    group.bench_function("pooled_pruned_fused", |b| {
-        let (mut store, flow, mut opt) = build();
+        let mut opt = nofis_nn::Adam::new(1e-3).with_max_grad_norm(Some(5.0));
+        let pool = nofis_parallel::global();
         let mut g = Graph::new();
-        g.set_pruning(true);
+        let mut rows = data.clone();
+        let mut prefix_ld = vec![0.0; batch];
         b.iter(|| {
             g.reset();
-            loss_of(&mut g, &store, &flow);
+            rows.copy_from_slice(&data);
+            flow.forward_rows(&store, 0..frozen, &mut rows, &mut prefix_ld, pool);
+            let x = g.constant_from_slice(batch, dim, &rows);
+            let ld = g.constant_from_slice(batch, 1, &prefix_ld);
+            let (z, logdet) =
+                flow.forward_graph_layers(&store, &mut g, x, Some(ld), frozen..layers);
+            let sq = g.square(z);
+            let ssq = g.sum_cols(sq);
+            let a = g.add(logdet, ssq);
+            let loss = g.mean_all(a);
+            g.backward(loss);
             opt.step_fused(&mut store, &g);
         })
     });

@@ -1,7 +1,4 @@
-//! Steady-state NOFIS training-step throughput across the tape memory
-//! model matrix: pooled/unpooled tape × frozen-gradient pruning on/off ×
-//! op fusion on/off × 1/4 worker threads, with buffer-pool miss counters
-//! doubling as an allocations-per-step meter.
+//! Overhead gates for the per-step instrumentation of NOFIS training.
 //!
 //! ```text
 //! bench_train_step [--smoke]
@@ -10,129 +7,34 @@
 //! bench_train_step --assert-metrics-overhead [--smoke]
 //! ```
 //!
-//! `--assert-telemetry-overhead` runs an A/B pair in-process: the same
-//! steady-state training step with and without the per-step telemetry site
-//! that `nofis_core`'s training loop executes (telemetry disabled in both
-//! lanes — the site then costs one relaxed atomic load). It asserts the
-//! disabled instrumentation adds under 1% to the step time.
+//! Each gate times the training loop's steady-state step and bounds one
+//! instrumentation site against it. `--assert-telemetry-overhead` bounds
+//! the per-step telemetry site with telemetry disabled (the site then
+//! costs one relaxed atomic load), `--assert-checkpoint-overhead` the
+//! disabled checkpoint site and `--assert-metrics-overhead` the metrics
+//! aggregation sink; each asserts the site adds under 1% to the step.
+//! Without a gate flag the binary prints the steady-state step time.
 //!
-//! `--assert-checkpoint-overhead` and `--assert-metrics-overhead` bound
-//! the disabled checkpoint site and the metrics aggregation sink the same
-//! way.
-//!
-//! Because the process-wide thread pool is sized exactly once (see
-//! `nofis_parallel::global`), the thread axis is driven by re-executing
-//! this binary as a subprocess worker with `NOFIS_THREADS` pinned per
-//! child; each worker times one variant and prints a single JSON record on
-//! stdout. The parent aggregates the matrix into
-//! `results/BENCH_train_step.json`.
-//!
-//! Speedups of the hot paths over the seed path (fresh unfused tape per
-//! step, no pruning, clone-per-step Adam input) are *reported*; the
-//! bitwise contracts behind them are asserted in
-//! `tests/frozen_prune_equivalence.rs`, `tests/golden_flows.rs` and
-//! `tests/alloc_regression.rs`.
+//! The timed step is the one training runs in a late stage: the frozen
+//! prefix through the tape-free kernel, the live block on the tape, the
+//! oracle term across the pool, backward and fused Adam.
 
-use nofis_autograd::{Graph, ParamStore, PoolStats};
+use nofis_autograd::{Graph, ParamStore};
 use nofis_flows::RealNvp;
 use nofis_nn::Adam;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::Serialize;
 use std::time::Instant;
 
-/// One (config, variant, thread-count) cell of the matrix, as emitted by
-/// a worker.
-#[derive(Serialize, Clone)]
-struct CellRecord {
-    config: String,
-    variant: String,
-    pooled: bool,
-    pruned: bool,
-    fused: bool,
-    threads: usize,
-    ns_per_step: f64,
-    steps_timed: u64,
-    /// Pool misses per step over the timed window — the heap allocations
-    /// the tape itself performed. 0.0 means fully recycled.
-    pool_allocs_per_step: f64,
-    pool_hits_per_step: f64,
-    final_loss: f64,
-}
-
-#[derive(Serialize)]
-struct BenchTrainStep {
-    host_parallelism: usize,
-    smoke: bool,
-    configs: Vec<StepConfig>,
-    note: &'static str,
-    cells: Vec<CellRecord>,
-    /// ns_per_step(seed) / ns_per_step(pooled+pruned+fused), per config
-    /// and thread count.
-    speedup_full_vs_seed: Vec<SpeedupRecord>,
-}
-
-#[derive(Serialize)]
-struct SpeedupRecord {
-    config: &'static str,
-    threads: usize,
-    seed_ns_per_step: f64,
-    full_ns_per_step: f64,
-    speedup: f64,
-}
-
-/// A benchmarked step shape: a stage-3 NOFIS training step (frozen
-/// two-stage prefix, trainable final stage) on a RealNVP flow.
-#[derive(Serialize, Clone, Copy)]
-struct StepConfig {
-    name: &'static str,
-    dim: usize,
-    layers: usize,
-    frozen_layers: usize,
-    hidden: usize,
-    batch: usize,
-}
-
-/// Two regimes of the same 3-stage frozen-prefix step. `stage3_small`
-/// (two layers per stage, narrow nets, minibatch 32) is allocation-bound:
-/// tape bookkeeping is a large share of the step and pooling + pruning +
-/// fusion shine. `stage3_default` (the `NofisConfig` defaults: eight
-/// layers per stage, hidden 32, minibatch 64) is matmul-bound, so the
-/// same changes buy less — both are reported so the speedup is not an
-/// artifact of one regime.
-const CONFIGS: [StepConfig; 2] = [
-    StepConfig {
-        name: "stage3_small",
-        dim: 4,
-        layers: 6,
-        frozen_layers: 4,
-        hidden: 16,
-        batch: 32,
-    },
-    StepConfig {
-        name: "stage3_default",
-        dim: 8,
-        layers: 24,
-        frozen_layers: 16,
-        hidden: 32,
-        batch: 64,
-    },
-];
-
-/// The full (pooled, pruned, fused) matrix. `seed` is the exact
-/// pre-optimization program (fresh tape per step, composed ops, grads
-/// cloned out for Adam); `pooled_pruned_fused` is the training loop's
-/// step.
-const VARIANTS: [(&str, bool, bool, bool); 8] = [
-    ("seed", false, false, false),
-    ("seed_fused", false, false, true),
-    ("seed_pruned", false, true, false),
-    ("seed_pruned_fused", false, true, true),
-    ("pooled", true, false, false),
-    ("pooled_fused", true, false, true),
-    ("pooled_pruned", true, true, false),
-    ("pooled_pruned_fused", true, true, true),
-];
+/// The timed step shape: stage 3 of a two-layers-per-stage flow with
+/// narrow conditioner nets and minibatch 32. The tape bookkeeping is a
+/// large share of so small a step, which makes it the worst case for the
+/// relative overhead of a fixed-cost site.
+const DIM: usize = 4;
+const LAYERS: usize = 6;
+const FROZEN_LAYERS: usize = 4;
+const HIDDEN: usize = 16;
+const BATCH: usize = 32;
 
 fn lcg_fill(buf: &mut [f64], seed: u64) {
     let mut state = seed.wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(1);
@@ -144,23 +46,6 @@ fn lcg_fill(buf: &mut [f64], seed: u64) {
     }
 }
 
-fn build(cfg: StepConfig) -> (ParamStore, RealNvp, Adam) {
-    let mut store = ParamStore::new();
-    let mut rng = StdRng::seed_from_u64(97);
-    let flow = RealNvp::new(&mut store, cfg.dim, cfg.layers, cfg.hidden, 2.0, &mut rng);
-    let ids: Vec<_> = store.iter().map(|(id, _)| id).collect();
-    for id in ids {
-        for v in store.get_mut(id).as_mut_slice() {
-            *v += rng.gen_range(-0.2..0.2);
-        }
-    }
-    for id in flow.param_ids_for_layers(0..cfg.frozen_layers) {
-        store.set_frozen(id, true);
-    }
-    let opt = Adam::new(1e-3).with_max_grad_norm(Some(5.0));
-    (store, flow, opt)
-}
-
 /// The benchmark's stand-in oracle: a linear limit-state with an exact
 /// gradient.
 fn oracle(row: &[f64]) -> (f64, Vec<f64>) {
@@ -169,94 +54,67 @@ fn oracle(row: &[f64]) -> (f64, Vec<f64>) {
     (1.0 - row[0], grad)
 }
 
-/// One NOFIS-shaped training step on an already prepared graph: tempered
-/// oracle term, base log-density term, log-det term, backward, Adam.
-fn run_step(
-    g: &mut Graph,
-    store: &mut ParamStore,
-    flow: &RealNvp,
-    opt: &mut Adam,
-    cfg: StepConfig,
-    pooled: bool,
-    seed: u64,
-) -> f64 {
-    let x = g.constant_with(cfg.batch, cfg.dim, |buf| lcg_fill(buf, seed));
-    let (z, logdet) = flow.forward_graph(store, g, x, cfg.layers);
-    let gvals = g.external_rowwise(z, oracle);
-    let tempered = g.min_scalar(gvals, 0.0);
-    let sq = g.square(z);
-    let ssq = g.sum_cols(sq);
-    let half = g.scale(ssq, -0.5);
-    let a = g.add(logdet, tempered);
-    let per_sample = g.add(a, half);
-    let mean = g.mean_all(per_sample);
-    let loss = g.neg(mean);
-    g.backward(loss);
-    if pooled {
-        opt.step_fused(store, g);
-    } else {
-        opt.step(store, &g.param_grads());
-    }
-    g.value(loss).item()
+/// A randomized flow, its optimizer and the reused buffers of the
+/// tape-free prefix.
+struct TrainStep {
+    store: ParamStore,
+    flow: RealNvp,
+    opt: Adam,
+    rows: Vec<f64>,
+    prefix_ld: Vec<f64>,
 }
 
-/// Steady-state numbers from one timed lane.
-struct Timing {
-    ns_per_step: f64,
-    steps_timed: u64,
-    allocs_per_step: f64,
-    hits_per_step: f64,
-    last_loss: f64,
-}
+impl TrainStep {
+    fn new() -> Self {
+        let mut store = ParamStore::new();
+        let mut rng = StdRng::seed_from_u64(97);
+        let flow = RealNvp::new(&mut store, DIM, LAYERS, HIDDEN, 2.0, &mut rng);
+        let ids: Vec<_> = store.iter().map(|(id, _)| id).collect();
+        for id in ids {
+            for v in store.get_mut(id).as_mut_slice() {
+                *v += rng.gen_range(-0.2..0.2);
+            }
+        }
+        TrainStep {
+            store,
+            flow,
+            opt: Adam::new(1e-3).with_max_grad_norm(Some(5.0)),
+            rows: vec![0.0; BATCH * DIM],
+            prefix_ld: vec![0.0; BATCH],
+        }
+    }
 
-/// The shared timing harness: warm up, grow the timed window until it
-/// clears the timer-resolution floor, keep the fastest of three windows
-/// (the noise-robust minimum on a shared host), and meter pool traffic
-/// over the timed region only (warmup allocations — first-touch pool
-/// misses — are excluded). `step` runs one training step for the given
-/// seed and reports the lane's cumulative pool counters.
-fn measure(smoke: bool, mut step: impl FnMut(u64) -> (f64, PoolStats)) -> Timing {
-    let warmup = if smoke { 2 } else { 5 };
-    let mut stats0 = PoolStats::default();
-    let mut last_loss = 0.0;
-    for s in 0..warmup {
-        let (loss, stats) = step(s);
-        assert!(loss.is_finite(), "non-finite warmup loss");
-        stats0 = stats;
-        last_loss = loss;
-    }
-    let min_ms = if smoke { 20 } else { 150 };
-    let mut steps = 4u64;
-    let mut next_seed = warmup;
-    let mut stats1 = stats0;
-    let mut window = |steps: u64, next_seed: &mut u64| -> std::time::Duration {
-        let t = Instant::now();
-        for _ in 0..steps {
-            let (loss, stats) = step(*next_seed);
-            last_loss = loss;
-            stats1 = stats;
-            *next_seed += 1;
-        }
-        t.elapsed()
-    };
-    let (first, timed) = loop {
-        let elapsed = window(steps, &mut next_seed);
-        if elapsed.as_millis() >= min_ms || steps >= 1 << 20 {
-            break (elapsed, steps);
-        }
-        steps *= 2;
-    };
-    let mut best = first;
-    for _ in 0..2 {
-        best = best.min(window(timed, &mut next_seed));
-    }
-    let total_steps = next_seed - warmup;
-    Timing {
-        ns_per_step: best.as_nanos() as f64 / timed as f64,
-        steps_timed: timed,
-        allocs_per_step: (stats1.misses - stats0.misses) as f64 / total_steps as f64,
-        hits_per_step: (stats1.hits - stats0.hits) as f64 / total_steps as f64,
-        last_loss,
+    /// One NOFIS training step on `g`: the frozen prefix tape-free, the
+    /// live block taped, tempered oracle term, base log-density term,
+    /// log-det term, backward, fused Adam. Returns the loss.
+    fn run(&mut self, g: &mut Graph, seed: u64) -> f64 {
+        let pool = nofis_parallel::global();
+        g.reset();
+        lcg_fill(&mut self.rows, seed);
+        self.flow.forward_rows(
+            &self.store,
+            0..FROZEN_LAYERS,
+            &mut self.rows,
+            &mut self.prefix_ld,
+            pool,
+        );
+        let x = g.constant_from_slice(BATCH, DIM, &self.rows);
+        let ld = g.constant_from_slice(BATCH, 1, &self.prefix_ld);
+        let (z, logdet) =
+            self.flow
+                .forward_graph_layers(&self.store, g, x, Some(ld), FROZEN_LAYERS..LAYERS);
+        let gvals = g.external_rowwise_par(z, pool, oracle);
+        let tempered = g.min_scalar(gvals, 0.0);
+        let sq = g.square(z);
+        let ssq = g.sum_cols(sq);
+        let half = g.scale(ssq, -0.5);
+        let a = g.add(logdet, tempered);
+        let per_sample = g.add(a, half);
+        let mean = g.mean_all(per_sample);
+        let loss = g.neg(mean);
+        g.backward(loss);
+        self.opt.step_fused(&mut self.store, g);
+        g.value(loss).item()
     }
 }
 
@@ -280,23 +138,15 @@ fn telemetry_step_site(stage: usize, epoch: usize, n: usize, loss: f64, grad_nor
     }
 }
 
-/// Steady-state ns per pooled+pruned+fused training step on the
-/// allocation-bound `stage3_small` shape — the cheapest step, so the worst
-/// case for *relative* site overhead: adaptive window length, minimum of
-/// three windows.
+/// Steady-state ns per training step, the cheapest step shape and so the
+/// worst case for *relative* site overhead: adaptive window length,
+/// minimum of three windows.
 fn steady_step_ns(smoke: bool) -> f64 {
-    let cfg = CONFIGS[0];
-    let (mut store, flow, mut opt) = build(cfg);
+    let mut step = TrainStep::new();
     let mut g = Graph::new();
-    g.set_fusion(true);
-    g.set_pruning(true);
     let mut next_seed = 0u64;
-    let mut step = |g: &mut Graph, seed: u64| {
-        g.reset();
-        run_step(g, &mut store, &flow, &mut opt, cfg, true, seed)
-    };
     for _ in 0..16 {
-        assert!(step(&mut g, next_seed).is_finite());
+        assert!(step.run(&mut g, next_seed).is_finite());
         next_seed += 1;
     }
 
@@ -305,7 +155,7 @@ fn steady_step_ns(smoke: bool) -> f64 {
     let step_window = loop {
         let t = Instant::now();
         for _ in 0..steps {
-            step(&mut g, next_seed);
+            step.run(&mut g, next_seed);
             next_seed += 1;
         }
         let elapsed = t.elapsed();
@@ -318,7 +168,7 @@ fn steady_step_ns(smoke: bool) -> f64 {
     for _ in 0..2 {
         let t = Instant::now();
         for _ in 0..steps {
-            step(&mut g, next_seed);
+            step.run(&mut g, next_seed);
             next_seed += 1;
         }
         best_step = best_step.min(t.elapsed());
@@ -343,7 +193,6 @@ fn assert_telemetry_overhead(smoke: bool) {
         "telemetry must be disabled for the overhead check"
     );
     const SITES_PER_STEP: f64 = 16.0;
-    let cfg = CONFIGS[0];
     let step_ns = steady_step_ns(smoke);
 
     // Disabled-site cost: tight loop, black_box keeps the inputs and the
@@ -355,13 +204,7 @@ fn assert_telemetry_overhead(smoke: bool) {
         let t = Instant::now();
         for i in 0..site_iters {
             loss = std::hint::black_box(loss) + 1e-12;
-            telemetry_step_site(
-                3,
-                std::hint::black_box(i as usize),
-                cfg.batch,
-                loss,
-                Some(5.0),
-            );
+            telemetry_step_site(3, std::hint::black_box(i as usize), BATCH, loss, Some(5.0));
         }
         best_site = best_site.min(t.elapsed());
     }
@@ -530,214 +373,33 @@ fn assert_metrics_overhead(smoke: bool) {
     println!("OK: metrics aggregation adds <1% to bench_train_step");
 }
 
-/// Times one (config, variant) cell in-process and prints its record. The
-/// global thread pool must already be pinned (via `NOFIS_THREADS`) by the
-/// parent.
-fn worker(variant: &str, config: &str, smoke: bool) {
-    let (_, pooled, pruned, fused) = *VARIANTS
-        .iter()
-        .find(|(name, ..)| *name == variant)
-        .unwrap_or_else(|| panic!("unknown variant {variant}"));
-    let cfg = *CONFIGS
-        .iter()
-        .find(|c| c.name == config)
-        .unwrap_or_else(|| panic!("unknown config {config}"));
-    let threads = nofis_parallel::global().threads();
-    let (mut store, flow, mut opt) = build(cfg);
-
-    // Persistent graph for the pooled lanes; the seed lanes rebuild it
-    // from scratch every step, exactly like the pre-optimization loop.
-    let mut persistent = Graph::new();
-    persistent.set_fusion(fused);
-    persistent.set_pruning(pruned);
-    let timing = measure(smoke, |s| {
-        let loss = if pooled {
-            persistent.reset();
-            run_step(&mut persistent, &mut store, &flow, &mut opt, cfg, true, s)
-        } else {
-            let mut fresh = Graph::new();
-            fresh.set_fusion(fused);
-            fresh.set_pruning(pruned);
-            run_step(&mut fresh, &mut store, &flow, &mut opt, cfg, false, s)
-        };
-        // The unpooled lanes never touch the persistent pool, so their
-        // tape allocations show up as time, not pool traffic.
-        (loss, persistent.pool_stats())
-    });
-
-    let rec = CellRecord {
-        config: config.to_string(),
-        variant: variant.to_string(),
-        pooled,
-        pruned,
-        fused,
-        threads,
-        ns_per_step: timing.ns_per_step,
-        steps_timed: timing.steps_timed,
-        pool_allocs_per_step: timing.allocs_per_step,
-        pool_hits_per_step: timing.hits_per_step,
-        final_loss: timing.last_loss,
-    };
-    // The vendored serde is serialize-only, so the worker→parent channel
-    // is a whitespace-delimited line rather than JSON.
-    println!(
-        "CELL {} {} {} {} {} {} {} {} {} {} {}",
-        rec.config,
-        rec.variant,
-        rec.pooled,
-        rec.pruned,
-        rec.fused,
-        rec.threads,
-        rec.ns_per_step,
-        rec.steps_timed,
-        rec.pool_allocs_per_step,
-        rec.pool_hits_per_step,
-        rec.final_loss
-    );
-}
-
-/// Re-executes this binary as a worker with `NOFIS_THREADS` pinned, and
-/// parses the `CELL ...` record line it prints.
-fn spawn_worker(variant: &str, config: &str, threads: usize, smoke: bool) -> CellRecord {
-    let exe = std::env::current_exe().expect("current_exe");
-    let mut cmd = std::process::Command::new(exe);
-    cmd.arg("--worker").arg(variant).arg("--config").arg(config);
-    if smoke {
-        cmd.arg("--smoke");
-    }
-    cmd.env("NOFIS_THREADS", threads.to_string());
-    let out = cmd.output().expect("spawn bench worker");
-    assert!(
-        out.status.success(),
-        "worker {variant}/{config}@{threads} failed:\n{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8(out.stdout).expect("utf8 worker output");
-    let line = stdout
-        .lines()
-        .rev()
-        .find(|l| l.starts_with("CELL "))
-        .expect("worker emitted no CELL record");
-    let f: Vec<&str> = line.split_whitespace().collect();
-    assert_eq!(f.len(), 12, "malformed worker record: {line}");
-    CellRecord {
-        config: f[1].to_string(),
-        variant: f[2].to_string(),
-        pooled: f[3].parse().expect("pooled"),
-        pruned: f[4].parse().expect("pruned"),
-        fused: f[5].parse().expect("fused"),
-        threads: f[6].parse().expect("threads"),
-        ns_per_step: f[7].parse().expect("ns_per_step"),
-        steps_timed: f[8].parse().expect("steps_timed"),
-        pool_allocs_per_step: f[9].parse().expect("allocs"),
-        pool_hits_per_step: f[10].parse().expect("hits"),
-        final_loss: f[11].parse().expect("loss"),
-    }
-}
-
 fn main() {
     let mut smoke = false;
     let mut overhead_check = false;
     let mut ckpt_overhead_check = false;
     let mut metrics_overhead_check = false;
-    let mut worker_variant: Option<String> = None;
-    let mut worker_config: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
+    for a in std::env::args().skip(1) {
         match a.as_str() {
             "--smoke" => smoke = true,
             "--assert-telemetry-overhead" => overhead_check = true,
             "--assert-checkpoint-overhead" => ckpt_overhead_check = true,
             "--assert-metrics-overhead" => metrics_overhead_check = true,
-            "--worker" => worker_variant = Some(args.next().expect("--worker VARIANT")),
-            "--config" => worker_config = Some(args.next().expect("--config NAME")),
             other => panic!("unknown argument {other}"),
         }
     }
     if overhead_check {
         assert_telemetry_overhead(smoke);
-        return;
-    }
-    if ckpt_overhead_check {
+    } else if ckpt_overhead_check {
         assert_checkpoint_overhead(smoke);
-        return;
-    }
-    if metrics_overhead_check {
+    } else if metrics_overhead_check {
         assert_metrics_overhead(smoke);
-        return;
-    }
-    if let Some(variant) = worker_variant {
-        let config = worker_config.as_deref().unwrap_or(CONFIGS[0].name);
-        worker(&variant, config, smoke);
-        return;
-    }
-
-    let host = std::thread::available_parallelism().map_or(1, |n| n.get());
-    // Smoke mode: one config, shortest windows — a CI liveness check for
-    // the whole worker/aggregation machinery, not a measurement.
-    let configs: &[StepConfig] = if smoke { &CONFIGS[..1] } else { &CONFIGS };
-    let mut cells = Vec::new();
-    for cfg in configs {
+    } else {
         println!(
-            "config {}: dim {} layers {} (frozen {}) hidden {} batch {}",
-            cfg.name, cfg.dim, cfg.layers, cfg.frozen_layers, cfg.hidden, cfg.batch
+            "train step (dim {DIM}, layers {FROZEN_LAYERS} tape-free + {} taped, hidden {HIDDEN}, \
+             batch {BATCH}, {} threads): {:.0} ns/step",
+            LAYERS - FROZEN_LAYERS,
+            nofis_parallel::global().threads(),
+            steady_step_ns(smoke)
         );
-        for threads in [1usize, 4] {
-            for (variant, ..) in VARIANTS {
-                let rec = spawn_worker(variant, cfg.name, threads, smoke);
-                println!(
-                    "{:>20} @ {threads} threads: {:>10.0} ns/step  \
-                     {:>6.1} pool allocs/step  {:>8.1} pool hits/step",
-                    rec.variant, rec.ns_per_step, rec.pool_allocs_per_step, rec.pool_hits_per_step
-                );
-                cells.push(rec);
-            }
-        }
     }
-
-    let mut speedup_full_vs_seed = Vec::new();
-    for cfg in configs {
-        for threads in [1usize, 4] {
-            let find = |name: &str| {
-                cells
-                    .iter()
-                    .find(|c| c.config == cfg.name && c.variant == name && c.threads == threads)
-                    .expect("matrix cell")
-            };
-            let seed = find("seed");
-            let full = find("pooled_pruned_fused");
-            let rec = SpeedupRecord {
-                config: cfg.name,
-                threads,
-                seed_ns_per_step: seed.ns_per_step,
-                full_ns_per_step: full.ns_per_step,
-                speedup: seed.ns_per_step / full.ns_per_step,
-            };
-            println!(
-                "speedup pooled+pruned+fused vs seed [{}] @ {threads} threads: {:.2}x",
-                cfg.name, rec.speedup
-            );
-            speedup_full_vs_seed.push(rec);
-        }
-    }
-
-    let out = BenchTrainStep {
-        host_parallelism: host,
-        smoke,
-        configs: configs.to_vec(),
-        note: "allocs/step counts BufferPool misses over the timed window; \
-               unpooled lanes build a fresh tape per step so their pool \
-               column stays at zero by construction — their allocations \
-               show up as time, not as pool traffic. ns/step is the \
-               fastest of three timed windows (noise-robust minimum)",
-        cells,
-        speedup_full_vs_seed,
-    };
-    std::fs::create_dir_all("results").ok();
-    std::fs::write(
-        "results/BENCH_train_step.json",
-        serde_json::to_string_pretty(&out).expect("serializable"),
-    )
-    .expect("write results/BENCH_train_step.json");
-    println!("\nwrote results/BENCH_train_step.json");
 }

@@ -7,7 +7,7 @@
 //! ```text
 //! offset  size  field
 //! 0       8     magic "NOFISCKP"
-//! 8       4     format version (u32, currently 1)
+//! 8       4     format version (u32, currently 3)
 //! 12      8     payload length in bytes (u64)
 //! 20      n     payload (the encoded [`Checkpoint`])
 //! 20+n    4     CRC-32 (IEEE) of the payload bytes
@@ -47,10 +47,14 @@ pub const MAGIC: [u8; 8] = *b"NOFISCKP";
 /// Version 2 (the corner-sweep release) appended two fields to the
 /// payload: the warm-start compatibility fingerprint
 /// ([`warm_fingerprint`]) and the optional final Adam state a finished
-/// run leaves behind for warm-start donors. Version-1 files are rejected
-/// by [`decode`] like any other version mismatch — the loader then falls
-/// back to older generations or a cold start, never a partial read.
-pub const FORMAT_VERSION: u32 = 2;
+/// run leaves behind for warm-start donors. Version 3 drops the
+/// per-parameter frozen flags that followed the parameter tensors: a
+/// frozen block is one training runs off the tape, which the stage cursor
+/// and the configuration already determine. Files of any other version
+/// (1 and 2 included) are rejected by [`decode`] like any version
+/// mismatch — the loader then falls back to older generations or a cold
+/// start, never a partial read.
+pub const FORMAT_VERSION: u32 = 3;
 
 /// File-name extension of finished checkpoints.
 const EXT: &str = "nofis";
@@ -170,7 +174,7 @@ pub struct StagePartial {
 }
 
 /// A complete durable training snapshot — everything `Nofis` needs to
-/// resume bitwise-identically: parameters (frozen and live), the threshold
+/// resume bitwise-identically: every flow parameter, the threshold
 /// schedule realized so far, loss/report history, the RNG stream state, the
 /// oracle's spent-call count, and (mid-stage) the [`StagePartial`] cursor.
 #[derive(Debug, Clone, PartialEq)]
@@ -202,11 +206,9 @@ pub struct Checkpoint {
     pub loss_history: Vec<Vec<f64>>,
     /// Per-completed-stage health reports.
     pub stage_reports: Vec<StageReport>,
-    /// Live parameter tensors, in [`ParamStore`](nofis_autograd::ParamStore)
-    /// id order.
+    /// Every flow parameter tensor, in
+    /// [`ParamStore`](nofis_autograd::ParamStore) id order.
     pub params: Vec<Tensor>,
-    /// Per-parameter frozen flags.
-    pub frozen: Vec<bool>,
     /// Mid-stage cursor; `None` at a stage boundary.
     pub partial: Option<StagePartial>,
     /// The optimizer state at the end of the last *completed* stage —
@@ -470,10 +472,6 @@ pub fn encode(c: &Checkpoint) -> Vec<u8> {
         encode_report(&mut e, r);
     }
     e.tensors(&c.params);
-    e.u64(c.frozen.len() as u64);
-    for &f in &c.frozen {
-        e.bool(f);
-    }
     match &c.partial {
         None => e.bool(false),
         Some(p) => {
@@ -553,8 +551,6 @@ pub fn decode(bytes: &[u8]) -> Result<Checkpoint, DecodeError> {
         .map(|_| decode_report(&mut d))
         .collect::<Result<Vec<_>, _>>()?;
     let params = d.tensors()?;
-    let n = d.count(1)?;
-    let frozen = (0..n).map(|_| d.bool()).collect::<Result<Vec<_>, _>>()?;
     let partial = if d.bool()? {
         Some(decode_partial(&mut d)?)
     } else {
@@ -578,7 +574,6 @@ pub fn decode(bytes: &[u8]) -> Result<Checkpoint, DecodeError> {
         loss_history,
         stage_reports,
         params,
-        frozen,
         partial,
         final_adam,
     })
@@ -675,9 +670,8 @@ pub fn warm_fingerprint(cfg: &NofisConfig, dim: usize) -> u64 {
 #[derive(Debug, Clone)]
 pub struct WarmStart {
     /// Donor's final parameter tensors, in
-    /// [`ParamStore`](nofis_autograd::ParamStore) id order. Frozen flags
-    /// are *not* carried: the recipient starts its own freeze schedule
-    /// from stage 0.
+    /// [`ParamStore`](nofis_autograd::ParamStore) id order. The recipient
+    /// runs its own freeze schedule from stage 0.
     pub params: Vec<Tensor>,
     /// Donor's final Adam state, when its checkpoint recorded one.
     pub adam: Option<AdamState>,
@@ -959,7 +953,6 @@ mod tests {
                 Tensor::from_vec(2, 3, vec![1.0, -2.0, 0.5, f64::NAN, f64::INFINITY, -0.0]),
                 Tensor::from_vec(1, 1, vec![42.0]),
             ],
-            frozen: vec![true, false],
             partial: Some(StagePartial {
                 stage: 1,
                 epoch: 0,
@@ -1038,6 +1031,16 @@ mod tests {
         bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
         let err = decode(&bytes).unwrap_err();
         assert!(err.to_string().contains("version"), "{err}");
+    }
+
+    #[test]
+    fn version_two_files_are_rejected_cleanly() {
+        // A v2 payload carries the frozen flags after the parameters; its
+        // header alone must reject it, before any payload byte is read.
+        let mut bytes = encode(&tiny_checkpoint());
+        bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
+        let err = decode(&bytes).unwrap_err();
+        assert!(err.to_string().contains("version 2"), "{err}");
     }
 
     #[test]

@@ -214,13 +214,7 @@ impl Nofis {
         warm: Option<&WarmStart>,
     ) -> Result<TrainedNofis, NofisError> {
         let dim = oracle.dim();
-        if dim < 2 {
-            return Err(NofisError::InvalidInput {
-                message: format!(
-                    "NOFIS requires dim >= 2 (RealNVP couplings split coordinates), got {dim}"
-                ),
-            });
-        }
+        check_dim(dim)?;
         let cfg = &self.config;
         let k = cfg.layers_per_stage;
         let max_stages = cfg.levels.max_stages();
@@ -243,9 +237,9 @@ impl Nofis {
         let mut warm_adam: Option<AdamState> = None;
         match resume {
             None => {
-                store = ParamStore::new();
                 match warm {
                     None => {
+                        store = ParamStore::new();
                         flow = RealNvp::new(
                             &mut store,
                             dim,
@@ -256,19 +250,11 @@ impl Nofis {
                         );
                     }
                     Some(ws) => {
-                        // The donor's parameters overwrite the init draw, so
-                        // build the structure with a throwaway RNG: the live
-                        // stream must stay at its seeded position, keeping
-                        // common random numbers across warm and cold corners.
-                        let mut init_rng = StdRng::seed_from_u64(0);
-                        flow = RealNvp::new(
-                            &mut store,
-                            dim,
-                            max_stages * k,
-                            cfg.hidden,
-                            cfg.s_max,
-                            &mut init_rng,
-                        );
+                        // The donor's parameters overwrite the init draw;
+                        // the live stream stays at its seeded position,
+                        // keeping common random numbers across warm and
+                        // cold corners.
+                        (flow, store) = flow_skeleton(cfg, dim);
                         if ws.dim != dim as u64 || ws.warm_fingerprint != warm_fp {
                             return Err(NofisError::Checkpoint {
                                 message: format!(
@@ -279,9 +265,7 @@ impl Nofis {
                                 ),
                             });
                         }
-                        // Frozen flags reset to all-live: the recipient's own
-                        // schedule decides what to freeze, stage by stage.
-                        restore_into(&mut store, &ws.params, &vec![false; ws.params.len()])?;
+                        restore_into(&mut store, &ws.params)?;
                         warm_adam = ws.adam.clone();
                         tele::event(tele::Level::Info, "train.warm_start")
                             .field("donor", ws.donor.as_str())
@@ -320,11 +304,9 @@ impl Nofis {
 
         // One tape for the whole run: `reset()` between minibatches keeps
         // the node arena and recycles every buffer, so steady-state steps
-        // allocate nothing. The tape holds only the trained block; pruning
-        // skips the backward kernels of its constant-only nodes without
-        // changing any surviving gradient bit (DESIGN.md §9).
+        // allocate nothing. The tape holds only the trained block; backward
+        // skips its constant-only nodes (DESIGN.md §9).
         let mut g = Graph::new();
-        g.set_pruning(true);
         // Reused per-step buffers of the tape-free frozen prefix.
         let mut prefix_rows: Vec<f64> = Vec::new();
         let mut prefix_ld: Vec<f64> = Vec::new();
@@ -430,17 +412,11 @@ impl Nofis {
                 .field("level", level)
                 .emit();
 
-            // --- Freeze everything before this stage's block. ---
-            if cfg.freeze {
-                for id in flow.param_ids_for_layers(0..stage * k) {
-                    store.set_frozen(id, true);
-                }
-            }
-
             // --- Optimize D[q_{mK} || p_m^tau] (Eq. 8), with checkpoint
-            //     rollback on divergence. Only block m is trained, so with
-            //     freezing on, layers 0..m·K run tape-free and enter each
-            //     step's tape as constants (DESIGN.md §9). ---
+            //     rollback on divergence. With freezing on, only block m
+            //     is trained: layers 0..m·K run tape-free and enter each
+            //     step's tape as constants, so they get no gradient and
+            //     Adam never moves them (DESIGN.md §9). ---
             let depth = (stage + 1) * k;
             let prefix = if cfg.freeze { stage * k } else { 0 };
             let mb = cfg.minibatch.min(cfg.batch_size);
@@ -633,7 +609,6 @@ impl Nofis {
                                     loss_history: loss_history.clone(),
                                     stage_reports: stage_reports.clone(),
                                     params: snapshot_params(&store),
-                                    frozen: snapshot_frozen(&store),
                                     partial: Some(StagePartial {
                                         stage: stage as u64,
                                         epoch: epoch as u64,
@@ -809,7 +784,6 @@ impl Nofis {
                     loss_history: loss_history.clone(),
                     stage_reports: stage_reports.clone(),
                     params: snapshot_params(&store),
-                    frozen: snapshot_frozen(&store),
                     partial: None,
                     // Stage-boundary only; resume never reads it — this is
                     // the donor payload a warm-started sibling inherits.
@@ -969,13 +943,7 @@ impl Nofis {
         };
 
         let dim = oracle.dim();
-        if dim < 2 {
-            return Err(NofisError::InvalidInput {
-                message: format!(
-                    "NOFIS requires dim >= 2 (RealNVP couplings split coordinates), got {dim}"
-                ),
-            });
-        }
+        check_dim(dim)?;
         if ckpt.dim != dim as u64 {
             return Err(NofisError::Checkpoint {
                 message: format!(
@@ -995,20 +963,10 @@ impl Nofis {
         let k = cfg.layers_per_stage;
         let max_stages = cfg.levels.max_stages();
 
-        // Rebuild the flow structure with a throwaway RNG — the parameter
-        // values are overwritten from the checkpoint, and the live stream
-        // must stay at its restored position.
-        let mut store = ParamStore::new();
-        let mut init_rng = StdRng::seed_from_u64(0);
-        let flow = RealNvp::new(
-            &mut store,
-            dim,
-            max_stages * k,
-            cfg.hidden,
-            cfg.s_max,
-            &mut init_rng,
-        );
-        restore_into(&mut store, &ckpt.params, &ckpt.frozen)?;
+        // The parameter values come from the checkpoint, and the live
+        // stream must stay at its restored position.
+        let (flow, mut store) = flow_skeleton(cfg, dim);
+        restore_into(&mut store, &ckpt.params)?;
 
         tele::event(tele::Level::Info, "ckpt.load")
             .field("generation", generation)
@@ -1060,9 +1018,9 @@ impl Nofis {
                     });
                 }
                 let mut best_store = store.clone();
-                restore_into(&mut best_store, &p.best_params, &ckpt.frozen)?;
+                restore_into(&mut best_store, &p.best_params)?;
                 let mut epoch_start = store.clone();
-                restore_into(&mut epoch_start, &p.epoch_start_params, &ckpt.frozen)?;
+                restore_into(&mut epoch_start, &p.epoch_start_params)?;
                 Some(StageCarry {
                     epoch: p.epoch as usize,
                     consumed: p.consumed as usize,
@@ -1131,30 +1089,49 @@ fn snapshot_params(store: &ParamStore) -> Vec<Tensor> {
     store.iter().map(|(_, t)| t.clone()).collect()
 }
 
-/// The per-parameter frozen flags in id order.
-fn snapshot_frozen(store: &ParamStore) -> Vec<bool> {
-    store.iter().map(|(id, _)| store.is_frozen(id)).collect()
+/// NOFIS needs `dim >= 2`: RealNVP couplings split the coordinates.
+fn check_dim(dim: usize) -> Result<(), NofisError> {
+    if dim < 2 {
+        return Err(NofisError::InvalidInput {
+            message: format!(
+                "NOFIS requires dim >= 2 (RealNVP couplings split coordinates), got {dim}"
+            ),
+        });
+    }
+    Ok(())
 }
 
-/// Overwrites `store`'s parameter values and frozen flags from a
-/// checkpoint, validating counts and shapes against the freshly built flow.
-fn restore_into(
-    store: &mut ParamStore,
-    params: &[Tensor],
-    frozen: &[bool],
-) -> Result<(), NofisError> {
-    if params.len() != store.len() || frozen.len() != store.len() {
+/// Builds the run's flow structure with a throwaway RNG, for callers that
+/// overwrite every parameter value (resume, warm start) and must leave the
+/// live RNG stream untouched.
+fn flow_skeleton(cfg: &NofisConfig, dim: usize) -> (RealNvp, ParamStore) {
+    let mut store = ParamStore::new();
+    let mut init_rng = StdRng::seed_from_u64(0);
+    let flow = RealNvp::new(
+        &mut store,
+        dim,
+        cfg.levels.max_stages() * cfg.layers_per_stage,
+        cfg.hidden,
+        cfg.s_max,
+        &mut init_rng,
+    );
+    (flow, store)
+}
+
+/// Overwrites `store`'s parameter values from a checkpoint, validating
+/// counts and shapes against the freshly built flow.
+fn restore_into(store: &mut ParamStore, params: &[Tensor]) -> Result<(), NofisError> {
+    if params.len() != store.len() {
         return Err(NofisError::Checkpoint {
             message: format!(
-                "checkpoint holds {} parameter tensors and {} frozen flags, the flow has {}",
+                "checkpoint holds {} parameter tensors, the flow has {}",
                 params.len(),
-                frozen.len(),
                 store.len()
             ),
         });
     }
     let ids: Vec<ParamId> = store.iter().map(|(id, _)| id).collect();
-    for ((t, &f), id) in params.iter().zip(frozen.iter()).zip(ids) {
+    for (t, id) in params.iter().zip(ids) {
         let current = store.get(id);
         if (current.rows(), current.cols()) != (t.rows(), t.cols()) {
             return Err(NofisError::Checkpoint {
@@ -1169,7 +1146,6 @@ fn restore_into(
             });
         }
         *store.get_mut(id) = t.clone();
-        store.set_frozen(id, f);
     }
     Ok(())
 }

@@ -21,9 +21,9 @@ pub struct AdamState {
 
 /// The Adam optimizer (Kingma & Ba, 2015) with bias correction.
 ///
-/// Frozen parameters (see [`ParamStore::set_frozen`]) are skipped entirely
-/// — their moment state is not advanced — which implements NOFIS's
-/// stage-freezing policy.
+/// Only parameters that come with a gradient are updated. A parameter kept
+/// off the tape — NOFIS's frozen blocks — has none, so neither its value
+/// nor its moment state moves.
 ///
 /// # Example
 ///
@@ -103,9 +103,9 @@ impl Adam {
 
     /// Enables (or, with `None`, disables) global-norm gradient clipping.
     ///
-    /// Before each [`Adam::step`], the L2 norm of all non-frozen, finite
-    /// gradients is computed jointly; when it exceeds `max_norm` every
-    /// gradient is scaled by `max_norm / norm`. This is the standard guard
+    /// Before each [`Adam::step`], the L2 norm of all finite gradients is
+    /// computed jointly; when it exceeds `max_norm` every gradient is
+    /// scaled by `max_norm / norm`. This is the standard guard
     /// against exploding log-det gradients early in flow training.
     ///
     /// # Panics
@@ -164,7 +164,7 @@ impl Adam {
         self.steps = state.steps;
     }
 
-    /// Applies one Adam update to every non-frozen parameter in `grads`.
+    /// Applies one Adam update to every parameter in `grads`.
     ///
     /// Gradients with non-finite entries are skipped defensively (a diverged
     /// batch then simply does not move the parameters). When
@@ -176,7 +176,7 @@ impl Adam {
             Some(max_norm) => {
                 let sq_sum: f64 = grads
                     .iter()
-                    .filter(|(id, grad)| !store.is_frozen(*id) && grad.is_finite())
+                    .filter(|(_, grad)| grad.is_finite())
                     .map(|(_, grad)| grad.as_slice().iter().map(|g| g * g).sum::<f64>())
                     .sum();
                 let norm = sq_sum.sqrt();
@@ -233,8 +233,8 @@ impl Adam {
         let clip = match self.max_grad_norm {
             Some(max_norm) => {
                 let mut sq_sum = 0.0;
-                graph.for_each_param_grad(|id, grad| {
-                    if !store.is_frozen(id) && grad.is_finite() {
+                graph.for_each_param_grad(|_, grad| {
+                    if grad.is_finite() {
                         sq_sum += grad.as_slice().iter().map(|g| g * g).sum::<f64>();
                     }
                 });
@@ -255,7 +255,7 @@ impl Adam {
 
     /// Single fused pass over the `(param, m, v)` slices of one parameter.
     fn update_param(&mut self, store: &mut ParamStore, id: ParamId, grad: &Tensor, clip: f64) {
-        if store.is_frozen(id) || !grad.is_finite() {
+        if !grad.is_finite() {
             return;
         }
         let idx = id.index();
@@ -321,18 +321,16 @@ mod tests {
     }
 
     #[test]
-    fn frozen_params_do_not_move() {
+    fn params_without_a_gradient_do_not_move() {
         let mut store = ParamStore::new();
-        let w = store.add(Tensor::scalar(2.0));
-        store.set_frozen(w, true);
+        let off_tape = store.add(Tensor::scalar(2.0));
+        let live = store.add(Tensor::scalar(1.0));
         let mut opt = Adam::new(0.1);
-        let grads = quadratic_step(&mut store, w);
+        let grads = quadratic_step(&mut store, live);
         opt.step(&mut store, &grads);
-        assert_eq!(store.get(w).item(), 2.0);
-        store.set_frozen(w, false);
-        let grads = quadratic_step(&mut store, w);
-        opt.step(&mut store, &grads);
-        assert!(store.get(w).item() < 2.0);
+        assert_eq!(store.get(off_tape).item(), 2.0);
+        assert!(store.get(live).item() < 1.0);
+        assert_eq!(opt.export_state().steps, vec![0, 1]);
     }
 
     #[test]
@@ -380,25 +378,6 @@ mod tests {
         assert!(m_raw > 1e5, "raw first moment should be huge: {m_raw}");
         // Zero-component stays untouched in both.
         assert_eq!(store.get(b).as_slice()[1], 0.0);
-    }
-
-    #[test]
-    fn frozen_params_do_not_count_toward_clip_norm() {
-        let mut store = ParamStore::new();
-        let frozen = store.add(Tensor::scalar(0.0));
-        let live = store.add(Tensor::scalar(0.0));
-        store.set_frozen(frozen, true);
-        let grads = vec![
-            (frozen, Tensor::scalar(1.0e9)), // must not inflate the norm
-            (live, Tensor::scalar(0.5)),
-        ];
-        let mut opt = Adam::new(0.1).with_max_grad_norm(Some(1.0));
-        opt.step(&mut store, &grads);
-        // Live gradient (norm 0.5 < 1) is NOT scaled: first moment is
-        // exactly (1 - beta1) * 0.5.
-        let m = opt.moments[live.index()].as_ref().unwrap().0.item();
-        assert!((m - 0.05).abs() < 1e-12, "m = {m}");
-        assert_eq!(store.get(frozen).item(), 0.0);
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! * [`Linear`] / [`Mlp`] — fully connected layers with selectable
 //!   [`Activation`] and [`Init`] schemes (including the zero-initialized
 //!   output layers RealNVP coupling nets use to start at the identity).
-//! * [`Adam`] — the optimizer, aware of frozen parameters so NOFIS can
-//!   freeze earlier coupling blocks per training stage.
+//! * [`Adam`] — the optimizer. It updates exactly the parameters it is
+//!   handed gradients for, so a block NOFIS keeps off the tape stays
+//!   frozen.
 //! * [`Regressor`] / [`Classifier`] — surrogate-model training loops used
 //!   by the SIR and SUC baselines of the paper's Table 1.
 //!

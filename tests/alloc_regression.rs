@@ -1,11 +1,12 @@
 //! Allocation-regression lockdown for the pooled training tape: after a
-//! short warmup, a representative RealNVP training step must be served
-//! entirely from recycled buffers — the pool's miss counter (its
-//! allocations-per-step meter) must stop moving.
+//! short warmup, the training loop's step must be served entirely from
+//! recycled buffers — the pool's miss counter (its allocations-per-step
+//! meter) must stop moving.
 
 use nofis::autograd::{Graph, ParamStore};
 use nofis::flows::RealNvp;
 use nofis::nn::Adam;
+use nofis::parallel::ThreadPool;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -22,8 +23,10 @@ fn lcg_fill(buf: &mut [f64], seed: u64) {
 
 #[test]
 fn steady_state_training_step_has_zero_pool_misses() {
-    // A representative NOFIS stage-3 step: dim 4, 6 coupling layers with
-    // the first 4 frozen, batch 32, tempered-loss shape, fused Adam update.
+    // A representative NOFIS stage-3 step, shaped like the training loop's:
+    // dim 4, 6 coupling layers, batch 32. Layers 0..4 run through the
+    // tape-free kernel and enter the tape as constants, the live block 4..6
+    // is taped, the oracle term runs chunk-parallel, then fused Adam.
     let mut store = ParamStore::new();
     let mut rng = StdRng::seed_from_u64(7);
     let flow = RealNvp::new(&mut store, 4, 6, 8, 2.0, &mut rng);
@@ -33,21 +36,24 @@ fn steady_state_training_step_has_zero_pool_misses() {
             *v += rng.gen_range(-0.2..0.2);
         }
     }
-    for id in flow.param_ids_for_layers(0..4) {
-        store.set_frozen(id, true);
-    }
 
+    let pool = ThreadPool::new(2);
     let mut g = Graph::new();
-    g.set_pruning(true);
     let mut opt = Adam::new(1e-3).with_max_grad_norm(Some(100.0));
+    let mut rows = vec![0.0; 32 * 4];
+    let mut prefix_ld = vec![0.0; 32];
 
     let mut step = |g: &mut Graph, store: &mut ParamStore, seed: u64| {
         g.reset();
-        let x = g.constant_with(32, 4, |buf| lcg_fill(buf, seed));
-        let (z, logdet) = flow.forward_graph(store, g, x, 6);
+        lcg_fill(&mut rows, seed);
+        flow.forward_rows(store, 0..4, &mut rows, &mut prefix_ld, &pool);
+        let x = g.constant_from_slice(32, 4, &rows);
+        let ld = g.constant_from_slice(32, 1, &prefix_ld);
+        let (z, logdet) = flow.forward_graph_layers(store, g, x, Some(ld), 4..6);
         // The oracle term of the real loop: a black-box rowwise function
-        // with externally supplied gradients.
-        let gvals = g.external_rowwise(z, |row| (1.0 - row[0], vec![-1.0, 0.0, 0.0, 0.0]));
+        // with externally supplied gradients, evaluated across the pool.
+        let gvals =
+            g.external_rowwise_par(z, &pool, |row| (1.0 - row[0], vec![-1.0, 0.0, 0.0, 0.0]));
         let tempered = g.min_scalar(gvals, 0.0);
         let sq = g.square(z);
         let ssq = g.sum_cols(sq);

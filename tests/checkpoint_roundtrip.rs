@@ -116,7 +116,6 @@ fn random_checkpoint(seed: u64) -> Checkpoint {
                 truncated: rng.gen_bool(0.1),
             })
             .collect(),
-        frozen: (0..n_params).map(|_| rng.gen_bool(0.5)).collect(),
         params,
         partial,
         final_adam,

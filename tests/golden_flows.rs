@@ -11,7 +11,7 @@
 // so they pin the exact f64 bit pattern, not a rounded neighborhood.
 #![allow(clippy::excessive_precision)]
 
-use nofis::autograd::{Graph, ParamStore, Tensor};
+use nofis::autograd::{Graph, ParamStore, Tensor, Var};
 use nofis::flows::RealNvp;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -153,20 +153,66 @@ fn sample_log_density_consistency_is_pinned() {
     }
 }
 
+/// `golden_flow`'s depth-6 forward composed by hand from the unfused ops
+/// (`matmul`, `add_row`, `tanh`, `scale`): each coupling's conditioner
+/// nets are `[4, 8, 4]` tanh MLPs and its log-scale is `2·tanh(s)`.
+fn composed_forward(store: &ParamStore, flow: &RealNvp, g: &mut Graph, x: Var) -> (Var, Var) {
+    let mut z = x;
+    let mut acc: Option<Var> = None;
+    for i in 0..flow.n_layers() {
+        let layer = flow.layer(i);
+        // Scale net `[w0, b0, w1, b1]`, then translate net.
+        let p: Vec<Var> = layer
+            .param_ids()
+            .into_iter()
+            .map(|id| store.inject(g, id))
+            .collect();
+        let mask = g.constant_from_slice(1, 4, layer.mask().as_slice());
+        let inv_mask = g.constant_from_slice(1, 4, layer.mask().complement().as_slice());
+        let xm = g.mul_row(z, mask);
+        let net = |g: &mut Graph, w: &[Var]| {
+            let h = g.matmul(xm, w[0]);
+            let h = g.add_row(h, w[1]);
+            let h = g.tanh(h);
+            let o = g.matmul(h, w[2]);
+            g.add_row(o, w[3])
+        };
+        let s_raw = net(g, &p[..4]);
+        let s_tanh = g.tanh(s_raw);
+        let s = g.scale(s_tanh, 2.0);
+        let t = net(g, &p[4..]);
+        let es = g.exp(s);
+        let scaled = g.mul(z, es);
+        let affine = g.add(scaled, t);
+        let free = g.mul_row(affine, inv_mask);
+        z = g.add(free, xm);
+        let s_free = g.mul_row(s, inv_mask);
+        let ld = g.sum_cols(s_free);
+        acc = Some(match acc {
+            Some(sum) => g.add(sum, ld),
+            None => ld,
+        });
+    }
+    (z, acc.expect("at least one layer"))
+}
+
 #[test]
 fn fused_tape_reproduces_goldens_bitwise() {
     // The fused matmul+bias+tanh / tanh-scale tape ops execute the exact
     // same floating-point program as the composed ops they replace, so the
-    // checked-in goldens stay valid with fusion enabled (the default) and
-    // the graph path agrees with the plain `transform` path bit for bit.
+    // checked-in goldens stay valid and the graph path agrees with the
+    // plain `transform` path bit for bit.
     let (store, flow) = golden_flow();
     let run = |fused: bool| {
         let mut g = Graph::new();
-        g.set_fusion(fused);
         let mut data = X.to_vec();
         data.extend_from_slice(&X2);
         let x = g.constant(Tensor::from_vec(2, 4, data));
-        let (z, logdet) = flow.forward_graph(&store, &mut g, x, 6);
+        let (z, logdet) = if fused {
+            flow.forward_graph(&store, &mut g, x, 6)
+        } else {
+            composed_forward(&store, &flow, &mut g, x)
+        };
         (g.value(z).clone(), g.value(logdet).clone())
     };
     let (z_f, ld_f) = run(true);

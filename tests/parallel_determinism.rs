@@ -7,7 +7,7 @@
 //! estimators — across pools of 1, 2, and 8 threads (deliberately
 //! oversubscribing the host so scheduling actually interleaves).
 
-use nofis::autograd::{Graph, Tensor};
+use nofis::autograd::{Graph, ParamStore, Tensor};
 use nofis::linalg::Matrix;
 use nofis::parallel::ThreadPool;
 use nofis::prob::{
@@ -112,10 +112,14 @@ fn external_rowwise_par_matches_serial_tape_bitwise() {
         (v, grad)
     };
 
+    // The input is a parameter leaf so its gradient is kept.
+    let mut store = ParamStore::new();
+    let input_id = store.add(input);
+
     // Reference: the serial tape op.
     let run_serial = || {
         let mut g = Graph::new();
-        let x = g.constant(input.clone());
+        let x = store.inject(&mut g, input_id);
         let out = g.external_rowwise(x, f);
         let loss = g.mean_all(out);
         g.backward(loss);
@@ -126,7 +130,7 @@ fn external_rowwise_par_matches_serial_tape_bitwise() {
     for threads in THREAD_COUNTS {
         let pool = ThreadPool::new(threads);
         let mut g = Graph::new();
-        let x = g.constant(input.clone());
+        let x = store.inject(&mut g, input_id);
         let out = g.external_rowwise_par(x, &pool, f);
         let loss = g.mean_all(out);
         g.backward(loss);
